@@ -5,16 +5,15 @@ from .classical import (cayley_on_triple, chevalley_matrices,
                         classical_nested, matrix_root_vector,
                         verify_classical_cartan)
 from .coideal import (CartanReport, CoidealParams, cartan_element,
-                      q_comm, verify_cartan_suite)
+                      verify_cartan_suite)
 from .involutions import (GammaEntry, Involution, ThetaSystem,
                           build_involution, classify_case,
                           classical_cartan_symbolic, delta_theta,
                           gamma_theta, verify_theta_system)
-from .qfield import (QRat, format_qrat, gauss_binomial, q_power, qq_arith,
-                     qq_eval_at_one, qq_substitute_inverse, qvar)
+from .qfield import QRat, format_qrat, gauss_binomial, q_power, qvar
 from .rootsys import (RootData, build_root_data, kostant_partition_count,
                       weights_up_to_height)
-from .uqalgebra import Algebra, Element, LusztigT, q_commutator
+from .uqalgebra import Algebra, Element, LusztigT, q_comm
 
 __all__ = [
     "Algebra", "CartanReport", "CoidealParams", "Element", "GammaEntry",
@@ -23,8 +22,7 @@ __all__ = [
     "cayley_on_triple", "chevalley_matrices", "classical_cartan_symbolic",
     "classical_nested", "classify_case", "delta_theta", "format_qrat",
     "gamma_theta", "gauss_binomial", "kostant_partition_count",
-    "matrix_root_vector", "q_comm", "q_commutator", "q_power", "qq_arith",
-    "qq_eval_at_one", "qq_substitute_inverse", "qvar",
+    "matrix_root_vector", "q_comm", "q_power", "qvar",
     "verify_cartan_suite", "verify_classical_cartan", "verify_theta_system",
     "weights_up_to_height",
 ]

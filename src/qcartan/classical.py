@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .involutions import ThetaSystem
-from .linalg import Echelon
+from .linalg import Echelon, vec_ratio
 from .rootsys import build_root_data
 
 Matrix = tuple  # of tuples of Fractions
@@ -45,7 +45,6 @@ def msub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col) if x and y)
                        for col in bt) for row in a)
@@ -214,7 +213,7 @@ def verify_classical_cartan(ts: ThetaSystem) -> dict:
             img = theta(eb)
             # the normalization theta(e_beta) = f_{-beta} holds up to a
             # recorded scalar in this realization
-            ratio = _proportionality(img, fb)
+            ratio = vec_ratio(mat_vec(img), mat_vec(fb))
             if ratio is None:
                 sign_ok = False
                 basis.append(madd(eb, fb))
@@ -244,21 +243,6 @@ def verify_classical_cartan(ts: ThetaSystem) -> dict:
     checks["expected_dimension_matches_rank"] = (
         inv.dim_h_theta() + len(ts.entries) == inv.rank_fixed)
     return {"checks": checks, "signs": signs}
-
-
-def _proportionality(a: Matrix, b: Matrix):
-    ratio = None
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            if bool(x) != bool(y):
-                return None
-            if x:
-                r = x / y
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    return None
-    return ratio
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +306,11 @@ def _s2sum(items):
     return out
 
 
-def cayley_on_triple(gamma=None) -> dict:
+def cayley_on_triple() -> dict:
     """Exact check of the Cayley rotation in the sl2-triple of a root.
 
     All roots share the same 2x2 triple picture, so the check is carried out
-    there: R = exp((pi/4)(f - e)) has entries in Q(sqrt 2), conjugates h to
+    once, there: R = exp((pi/4)(f - e)) has entries in Q(sqrt 2), conjugates h to
     e + f, and fixes the centralizer of the triple.
     """
     half = Sqrt2(0, Fraction(1, 2))     # sqrt(2)/2 = cos(pi/4) = sin(pi/4)

@@ -22,8 +22,6 @@ def _session_args(p: argparse.ArgumentParser):
     p.add_argument("--r", type=int, help="pair parameter r, when applicable")
     p.add_argument("--family", help="plain root-system family A..G")
     p.add_argument("--rank", type=int, help="plain root-system rank")
-    p.add_argument("--N", type=int, default=1, dest="npow",
-                   help="fractional power order: q = v^N")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--json", action="store_true", help="emit JSON")
 
@@ -31,26 +29,36 @@ def _session_args(p: argparse.ArgumentParser):
 def _load_config(ns):
     if not ns.config:
         return
-    with open(ns.config) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key == "pair":
-                ns.pair = val
-            elif key in ("n", "r", "rank", "N"):
-                setattr(ns, "npow" if key == "N" else key, int(val))
-            elif key == "family":
-                ns.family = val
+    try:
+        with open(ns.config) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError("cannot read config file: %s" % exc) from None
+    for num, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if not eq:
+            raise ValueError("config line %d: expected key = value" % num)
+        if key in ("pair", "family"):
+            setattr(ns, key, val)
+        elif key in ("n", "r", "rank"):
+            try:
+                setattr(ns, key, int(val))
+            except ValueError:
+                raise ValueError("config line %d: %s needs an integer, "
+                                 "got %r" % (num, key, val)) from None
+        else:
+            raise ValueError("config line %d: unknown key %r" % (num, key))
 
 
 def _params(ns) -> CoidealParams | None:
     if not ns.pair:
         return None
     inv = build_involution(ns.pair, ns.n, ns.r)
-    return CoidealParams(inv, Algebra(inv.rd, npow=ns.npow))
+    return CoidealParams(inv, Algebra(inv.rd))
 
 
 def _algebra(ns) -> Algebra:
@@ -58,8 +66,8 @@ def _algebra(ns) -> Algebra:
     if par is not None:
         return par.algebra, par
     if not ns.family or not ns.rank:
-        raise SystemExit("need --pair/--n or --family/--rank")
-    return Algebra(ns.family, ns.rank, npow=ns.npow), None
+        raise ValueError("need --pair/--n or --family/--rank")
+    return Algebra(ns.family, ns.rank), None
 
 
 def _eval(ns, text):
@@ -126,14 +134,16 @@ def cmd_classical_cartan(ns) -> int:
 def cmd_cartan(ns) -> int:
     par = _params(ns)
     if par is None:
-        raise SystemExit("cartan needs --pair")
+        raise ValueError("cartan needs --pair")
     ts = gamma_theta(ns.pair, ns.n, ns.r)
+    if ns.j is not None and not 1 <= ns.j <= len(ts.entries):
+        raise ValueError("--j must lie in 1..%d" % len(ts.entries))
     js = range(1, len(ts.entries) + 1) if ns.j is None else [ns.j]
     ok = True
     payload = []
     for j in js:
-        rep = cartan_element(par, ts, j, run_checks=ns.verify)
-        ok = ok and (rep.ok() if ns.verify else True)
+        rep = cartan_element(par, ts, j)
+        ok = ok and rep.ok()
         if ns.json:
             payload.append({"j": j, "H": rep.H.to_json(),
                             "s": rep.s_scalar.to_json(),
@@ -150,7 +160,7 @@ def cmd_cartan(ns) -> int:
 def cmd_member(ns) -> int:
     par = _params(ns)
     if par is None:
-        raise SystemExit("member needs --pair")
+        raise ValueError("member needs --pair")
     val = Evaluator(par.algebra, par).run(parse_expr(ns.expr))
     inside = par.membership(val)
     print("member" if inside else "not a member")
@@ -217,13 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classical-cartan",
                        help="matrix-level fixed-part Cartan verification")
     _session_args(p)
-    p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_classical_cartan)
 
     p = sub.add_parser("cartan", help="construct and verify Cartan elements")
     _session_args(p)
     p.add_argument("--j", type=int)
-    p.add_argument("--verify", action="store_true", default=True)
     p.set_defaults(func=cmd_cartan)
 
     p = sub.add_parser("member", help="coideal subalgebra membership")
@@ -242,10 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    _load_config(ns)
-    if getattr(ns, "pair", None) == "AIII" and ns.r is None and ns.n:
-        ns.r = (ns.n + 1) // 2    # the pi_theta-empty member of the family
     try:
+        _load_config(ns)
+        if ns.pair == "AIII" and ns.r is None and ns.n:
+            ns.r = (ns.n + 1) // 2    # the pi_theta-empty member of the family
         return ns.func(ns)
     except (ValueError, SyntaxError) as exc:
         print("error: %s" % exc, file=sys.stderr)

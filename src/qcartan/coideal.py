@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .classical import classical_nested, matrix_root_vector, mscale
+from .classical import (chevalley_matrices, classical_nested, madd,
+                        mat_vec, matrix_root_vector, mmul, mscale, zeros)
 from .involutions import Involution, ThetaSystem
-from .linalg import Echelon
+from .linalg import Echelon, kernel_basis, vec_ratio
 from .qfield import ONE, QRat, ZERO
-from .uqalgebra import Algebra, Element, LusztigT, _as_qrat
+from .uqalgebra import Algebra, Element, LusztigT, _as_qrat, q_comm
 
 
 @dataclass
@@ -77,41 +78,17 @@ class CoidealParams:
         if not any(rest):
             out = alg.E(pi)
         else:
-            # span (ad E-words over pi_theta) E_{p(i)} up to the target weight
-            layers = {tuple([Fraction(0)] * rd.rank): [alg.E(pi)]}
-            frontier = list(layers)
-            for _ in range(int(rd.height(rest))):
-                nxt = []
-                for w in frontier:
-                    for j in sorted(inv.pi_theta):
-                        nw = tuple(c + s for c, s in
-                                   zip(w, rd.simple(j)))
-                        if any(a > b for a, b in zip(nw, rest)):
-                            continue
-                        fresh = nw not in layers
-                        if fresh:
-                            layers[nw] = []
-                            nxt.append(nw)
-                        for x in layers[w]:
-                            y = alg.ad_E(j, x)
-                            if y:
-                                layers[nw].append(y)
-                for nw in nxt:
-                    ech = Echelon()
-                    layers[nw] = [x for x in layers[nw]
-                                  if ech.add(dict(x.terms))[0]]
-                frontier = nxt
-            candidates = layers.get(rest, [])
-            cols, labels = [], []
-            for idx, x in enumerate(candidates):
+            # (ad E-words) E_{p(i)} at the target weight; validate() puts
+            # Supp(rest) inside pi_theta, so only pi_theta letters occur
+            candidates = alg.ad_span("+", rest, alg.E(pi))
+            cols = []
+            for x in candidates:
                 col = {}
                 for j in sorted(inv.pi_theta):
                     for t, c in alg.ad_E(j, x).terms.items():
                         col[(j, t)] = c
                 cols.append(col)
-                labels.append(idx)
-            from .linalg import kernel_basis
-            kerns = kernel_basis(cols, labels)
+            kerns = kernel_basis(cols)
             if len(kerns) != 1:
                 raise AssertionError(
                     "highest-weight space of (ad M)E_%d is %d-dimensional"
@@ -313,10 +290,6 @@ class CoidealParams:
         return out
 
 
-def q_comm(a: Element, b: Element, scale=ONE) -> Element:
-    return a * b - (b * a).scale(scale)
-
-
 # ---------------------------------------------------------------------------
 # Cartan elements and their verification
 
@@ -336,8 +309,8 @@ class CartanReport:
         return all(self.checks.values())
 
 
-def cartan_element(params: CoidealParams, ts: ThetaSystem, j: int,
-                   run_checks: bool = True) -> CartanReport:
+def cartan_element(params: CoidealParams, ts: ThetaSystem,
+                   j: int) -> CartanReport:
     """Construct H_j = X + C + s(K_{-beta}-1) + Y and verify its structure."""
     alg = params.algebra
     rd = alg.rd
@@ -365,8 +338,6 @@ def cartan_element(params: CoidealParams, ts: ThetaSystem, j: int,
 
     checks: dict = {}
     scalars: dict = {"s": s_scalar, "constant": const}
-    if not run_checks:
-        return CartanReport(j, H, Y, C, X, s_scalar, checks, scalars)
 
     # P restricted to B_theta kills K_{-beta} (theta negates beta), so the
     # projection of H is the lift minus the s constant
@@ -401,21 +372,13 @@ def cartan_element(params: CoidealParams, ts: ThetaSystem, j: int,
     if entry.case == 5:
         beta_p = tuple(b - c for b, c in
                        zip(beta, rd.simple(entry.alpha_beta_prime)))
-        span = alg.ad_span("-", beta_p,
-                           alg.K(tuple(-2 * c for c in
-                                       rd.fundamental_weights[
-                                           entry.alpha_beta - 1])))
-        lifted = []
-        for row in span.rows.values():
-            lifted.append(alg.ad_F(entry.alpha_beta_prime,
-                                   Element(alg, dict(row))))
-        ech = Echelon()
-        for x in lifted:
-            ech.add(dict(x.terms))
         nu = rd.fundamental_weights[entry.alpha_beta - 1]
+        ech = Echelon()
+        for x in alg.ad_span("-", beta_p, alg.K(tuple(-2 * c for c in nu))):
+            ech.add(alg.ad_F(entry.alpha_beta_prime, x).terms)
         shift = tuple(b - 2 * c for b, c in zip(beta, nu))
         checks["Y_through_ad_F_alpha_prime"] = ech.contains(
-            dict((Y * alg.K(shift)).terms))
+            (Y * alg.K(shift)).terms)
 
     # (iii) commutation with the strongly orthogonal part and with T_theta
     pij = sorted(rd.strorth_simples(beta))
@@ -442,9 +405,8 @@ def cartan_element(params: CoidealParams, ts: ThetaSystem, j: int,
     checks["H_commutes_with_coideal_part"] = ok_h
 
     # kappa-pairing: kappa(Y) proportional to X
-    kap = alg.kappa(Y)
-    ratio = _proportional(kap, X)
-    checks["kappa_pairing"] = ratio is not None and bool(ratio)
+    ratio = vec_ratio(X.terms, alg.kappa(Y).terms)
+    checks["kappa_pairing"] = ratio is not None
     scalars["kappa_ratio"] = ratio
 
     # specialization against the classical oracle
@@ -453,43 +415,21 @@ def cartan_element(params: CoidealParams, ts: ThetaSystem, j: int,
     return CartanReport(j, H, Y, C, X, s_scalar, checks, scalars)
 
 
-def _proportional(a: Element, b: Element):
-    if a.is_zero() or b.is_zero():
-        return None
-    if set(a.terms) != set(b.terms):
-        return None
-    ratio = None
-    for t, c in a.terms.items():
-        r = b.terms[t] / c
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return None
-    return ratio
-
-
-def _word_product(family: str, rank: int, signed_word):
-    """Plain matrix product of e/f generators along a signed word."""
-    from .classical import chevalley_matrices, mmul
-    e, f, h = chevalley_matrices(family, rank)
-    out = None
-    for s in signed_word:
-        g = e[s - 1] if s > 0 else f[-s - 1]
-        out = g if out is None else mmul(out, g)
-    return out
-
-
 def specialize_to_matrix(alg: Algebra, x: Element, side: str):
     """q -> 1, K -> 1 evaluation of a pure F-part (side '-') or E-part
     (side '+') as an exact matrix in the classical realization."""
     rd = alg.rd
-    out = None
+    e, f, h = chevalley_matrices(rd.family, rd.rank)
+    gens = f if side == "-" else e
+    out = zeros(len(e[0]))
     for u, v, val in alg.specialize_words(x):
-        word = [-t for t in u] if side == "-" else list(v)
+        word = u if side == "-" else v
         if not word:
             raise ValueError("scalar term in a pure-word specialization")
-        m = mscale(_word_product(rd.family, rd.rank, word), val)
-        out = m if out is None else _madd(out, m)
+        m = gens[word[0] - 1]
+        for t in word[1:]:
+            m = mmul(m, gens[t - 1])
+        out = madd(out, mscale(m, val))
     return out
 
 
@@ -500,38 +440,18 @@ def _specialization_checks(alg: Algebra, entry, Y: Element, X: Element,
     try:
         ymat = specialize_to_matrix(alg, Y, "-")
         target = matrix_root_vector(rd.family, rd.rank, entry.beta, -1)
-        ry = _matrix_ratio(ymat, target)
-        out["Y_specializes_to_root_vector"] = ry is not None and bool(ry)
+        ry = vec_ratio(mat_vec(ymat), mat_vec(target))
+        out["Y_specializes_to_root_vector"] = ry is not None
         scalars["Y_specialization_ratio"] = ry
         xmat = specialize_to_matrix(alg, X, "+")
         targetx = matrix_root_vector(rd.family, rd.rank, entry.beta, +1)
-        rx = _matrix_ratio(xmat, targetx)
-        out["X_specializes_to_root_vector"] = rx is not None and bool(rx)
+        rx = vec_ratio(mat_vec(xmat), mat_vec(targetx))
+        out["X_specializes_to_root_vector"] = rx is not None
         scalars["X_specialization_ratio"] = rx
-    except ValueError:
+    except ValueError as exc:
         out["specialization_valuations"] = False
+        scalars["specialization_error"] = str(exc)
     return out
-
-
-def _madd(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _matrix_ratio(a, b):
-    if a is None:
-        return None
-    ratio = None
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            if bool(x) != bool(y):
-                return None
-            if x:
-                r = x / y
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    return None
-    return ratio
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +542,12 @@ def verify_cartan_suite(params: CoidealParams, ts: ThetaSystem,
         low = alg.biweight_part(hps[j], tuple(-c for c in beta), rd.zero())
         high = alg.biweight_part(hps[j], rd.zero(), beta)
         word = list(range(j, n - j + 2))
-        ratio_f = _matrix_ratio(specialize_to_matrix(alg, low, "-"),
-                                classical_nested("A", n, [-t for t in word]))
-        ratio_e = _matrix_ratio(specialize_to_matrix(alg, high, "+"),
-                                classical_nested("A", n, word))
+        ratio_f = vec_ratio(
+            mat_vec(specialize_to_matrix(alg, low, "-")),
+            mat_vec(classical_nested("A", n, [-t for t in word])))
+        ratio_e = vec_ratio(
+            mat_vec(specialize_to_matrix(alg, high, "+")),
+            mat_vec(classical_nested("A", n, word)))
         details[j] = (ratio_f, ratio_e)
         if ratio_f not in (Fraction(1), Fraction(-1)) or \
                 ratio_e not in (Fraction(1), Fraction(-1)):
@@ -708,17 +630,11 @@ def _express_in_h_primes(params: CoidealParams, hps: dict, ws: dict,
                 return None
             groups.setdefault(mu, {})[u] = c
         coeff = alg.zero()
+        base = {t[0]: c for t, c in wk.terms.items()}
         for mu, vec in groups.items():
-            base = {t[0]: c for t, c in wk.terms.items()}
-            ratio = None
-            if set(vec) != set(base):
+            ratio = vec_ratio(vec, base)
+            if ratio is None:
                 return None
-            for u, c in vec.items():
-                rr = c / base[u]
-                if ratio is None:
-                    ratio = rr
-                elif ratio != rr:
-                    return None
             if params.involution.apply(mu) != mu:
                 return None
             coeff = coeff + alg.K(mu).scale(ratio)

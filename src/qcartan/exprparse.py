@@ -22,6 +22,7 @@ import re
 from fractions import Fraction
 
 from .qfield import QRat
+from .uqalgebra import LusztigT, q_comm
 
 _TOKEN = re.compile(r"""
     (?P<KIINV>Ki-(?=\d))
@@ -269,16 +270,19 @@ class Evaluator:
         if kind == "K1":
             return alg.Ki(node[1], node[2])
         if kind == "K":
-            return alg.K(node[1])
+            mu = alg.rd.weight(node[1])
+            if any(alg.rd.pairing(mu, i).denominator != 1
+                   for i in range(alg.rd.rank)):
+                raise ValueError("K-exponent %s is outside the weight lattice"
+                                 % ",".join(str(c) for c in mu))
+            return alg.K(mu)
         if kind == "comm":
             a, b = self.run(node[1]), self.run(node[2])
-            scale = self._as_scalar(self.run(node[3]))
-            return a * b - (b * a).scale(scale)
+            return q_comm(a, b, self._as_scalar(self.run(node[3])))
         if kind == "func":
             return alg.apply_symmetry(node[1], self.run(node[2]))
         if kind == "lusztig":
             if self.lusztig is None:
-                from .uqalgebra import LusztigT
                 self.lusztig = LusztigT(alg)
             return self.lusztig.apply(node[1], node[2], self.run(node[3]))
         if kind == "ad":

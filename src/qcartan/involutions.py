@@ -43,9 +43,6 @@ class Involution:
                     out[j] += c * v
         return tuple(out)
 
-    def is_fixed(self, lam: Weight) -> bool:
-        return self.apply(lam) == lam
-
     def dim_h_theta(self) -> int:
         return len(self.h_theta)
 
@@ -560,16 +557,6 @@ PAIR_LABELS = ("AI", "AII", "AIII", "AIV", "BI", "BII", "CI", "CII-1",
                "EIX", "FI", "FII", "G")
 
 
-def build_involution(pair: str, n: int | None = None,
-                     r: int | None = None) -> Involution:
-    """The maximally split involution of the named irreducible pair."""
-    rd, images, pith, p, gamma, h, s_set = _pair_table(pair, n, r)
-    inv = Involution(rd, pair, (n, r), tuple(images), pith, tuple(p),
-                     tuple(h), len(h) + len(gamma), s_set)
-    inv.validate()
-    return inv
-
-
 def gamma_theta(pair: str, n: int | None = None,
                 r: int | None = None) -> ThetaSystem:
     """The encoded maximum strongly orthogonal theta-system of the pair."""
@@ -578,6 +565,12 @@ def gamma_theta(pair: str, n: int | None = None,
                      tuple(h), len(h) + len(gamma), s_set)
     inv.validate()
     return ThetaSystem(inv, tuple(gamma))
+
+
+def build_involution(pair: str, n: int | None = None,
+                     r: int | None = None) -> Involution:
+    """The maximally split involution of the named irreducible pair."""
+    return gamma_theta(pair, n, r).involution
 
 
 def delta_theta(inv: Involution) -> tuple:

@@ -9,18 +9,20 @@ deterministic: the smallest key in sort order wins.
 from __future__ import annotations
 
 
+def _accumulate(out: dict, key, c):
+    """out[key] += c in place, keeping no zero entries."""
+    got = out.get(key)
+    s = c if got is None else got + c
+    if s:
+        out[key] = s
+    elif got is not None:
+        del out[key]
+
+
 def vec_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, v in b.items():
-        w = out.get(k)
-        if w is None:
-            out[k] = v
-        else:
-            w = w + v
-            if w:
-                out[k] = w
-            else:
-                del out[k]
+        _accumulate(out, k, v)
     return out
 
 
@@ -34,17 +36,23 @@ def vec_sub_scaled(a: dict, b: dict, c) -> dict:
     """a - c*b."""
     out = dict(a)
     for k, v in b.items():
-        w = out.get(k)
-        cv = c * v
-        if w is None:
-            out[k] = -cv
-        else:
-            w = w - cv
-            if w:
-                out[k] = w
-            else:
-                del out[k]
+        _accumulate(out, k, -(c * v))
     return out
+
+
+def vec_ratio(a: dict, b: dict):
+    """The scalar r with a = r*b, or None when a or b is zero or the two
+    are not proportional."""
+    if not a or not b or a.keys() != b.keys():
+        return None
+    ratio = None
+    for k, x in a.items():
+        r = x / b[k]
+        if ratio is None:
+            ratio = r
+        elif r != ratio:
+            return None
+    return ratio
 
 
 class Echelon:
@@ -107,28 +115,11 @@ class Echelon:
     def contains(self, vec: dict) -> bool:
         return not self.residual(vec)
 
-    def solve(self, vec: dict):
-        """Coefficients expressing vec over the added vectors, or None."""
-        if not self.track:
-            raise ValueError("echelon built without tracking")
-        zero_combo: dict = {}
-        res, combo = self._reduce(dict(vec), zero_combo)
-        if res:
-            return None
-        return {k: -v for k, v in combo.items()}
-
 
 def _one_like(vec: dict):
     for v in vec.values():
         return v / v
     return 1
-
-
-def span_dimension(vectors) -> int:
-    ech = Echelon()
-    for v in vectors:
-        ech.add(v)
-    return len(ech)
 
 
 def kernel_basis(columns: list[dict], labels=None) -> list[dict]:

@@ -1,11 +1,12 @@
-"""Exact rational functions in the deformation variable.
+"""Exact rational functions in the deformation parameter.
 
-Every scalar in the engine is an element of Q(v), where q = v**N for a
-session-wide positive integer N (N = 1 unless weight-lattice K-exponents
-require fractional powers of q).  Polynomials are tuples of ints in
-ascending degree; a QRat is canonical: the polynomial gcd of numerator and
-denominator is 1, the integer contents are coprime, and the denominator has
-positive leading coefficient.  Canonical form makes equality structural.
+Every scalar in the engine is an element of Q(q); the engine only forms
+integer powers of q, since every exponent is a pairing (weight, root).
+The variable is stored as v = q (the JSON form records "var": "v", "N": 1).
+Polynomials are tuples of ints in ascending degree; a QRat is canonical:
+the polynomial gcd of numerator and denominator is 1, the integer contents
+are coprime, and the denominator has positive leading coefficient.
+Canonical form makes equality structural.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ def padd(a: tuple, b: tuple) -> tuple:
 
 def pneg(a: tuple) -> tuple:
     return tuple(-c for c in a)
-
-
-def psub(a: tuple, b: tuple) -> tuple:
-    return padd(a, pneg(b))
 
 
 def pmul(a: tuple, b: tuple) -> tuple:
@@ -281,78 +278,57 @@ class QRat:
         return peval(self.num, x) / d
 
     # io ------------------------------------------------------------------
-    def to_json(self, npow: int = 1) -> dict:
+    def to_json(self) -> dict:
         return {"num": list(self.num), "den": list(self.den), "var": "v",
-                "N": npow}
+                "N": 1}
 
     @staticmethod
     def from_json(obj) -> "QRat":
         return QRat(tuple(obj["num"]), tuple(obj["den"]))
 
     def __repr__(self):
-        return "QRat(%s)" % format_qrat(self, 1)
+        return "QRat(%s)" % format_qrat(self)
 
 
 ZERO = QRat(())
 ONE = QRat((1,))
 
 
-def qvar(npow: int = 1) -> QRat:
-    """The deformation parameter q = v**N."""
-    return QRat.v_power(npow)
+def qvar() -> QRat:
+    """The deformation parameter q."""
+    return QRat.v_power(1)
 
 
-def q_power(exponent, npow: int = 1) -> QRat:
-    """q**e as an element of Q(v); e may be a Fraction when N allows it."""
-    e = Fraction(exponent) * npow
+def q_power(exponent) -> QRat:
+    """q**e as an element of Q(q); e must be an integer."""
+    e = Fraction(exponent)
     if e.denominator != 1:
-        raise ValueError(
-            "q**%s is not an integral power of v at N=%d" % (exponent, npow))
+        raise ValueError("q**%s is not an integral power of q" % exponent)
     return QRat.v_power(e.numerator)
 
 
-def qq_arith(a: QRat, b: QRat, op: str) -> QRat:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError("unknown op %r" % (op,))
-
-
-def qq_substitute_inverse(a: QRat) -> QRat:
-    return a.substitute_inverse()
-
-
-def qq_eval_at_one(a: QRat):
-    return a.eval_at_one()
-
-
-def q_int(m: int, d: int = 1, npow: int = 1) -> QRat:
+def q_int(m: int, d: int = 1) -> QRat:
     """Quantum integer [m] in q**d: (q**(dm) - q**(-dm)) / (q**d - q**(-d))."""
     if m == 0:
         return ZERO
-    qd = q_power(d, npow)
+    qd = q_power(d)
     return (qd ** m - qd ** (-m)) / (qd - qd ** (-1))
 
 
-def q_factorial(m: int, d: int = 1, npow: int = 1) -> QRat:
+def q_factorial(m: int, d: int = 1) -> QRat:
     out = ONE
     for k in range(2, m + 1):
-        out = out * q_int(k, d, npow)
+        out = out * q_int(k, d)
     return out
 
 
-def gauss_binomial(m: int, k: int, d: int = 1, npow: int = 1) -> QRat:
+def gauss_binomial(m: int, k: int, d: int = 1) -> QRat:
     """Gaussian binomial [m choose k] in q**d, a symmetric Laurent polynomial."""
     if k < 0 or k > m:
         raise ValueError("gauss_binomial requires 0 <= k <= m")
     out = ONE
     for i in range(1, k + 1):
-        out = out * q_int(m - k + i, d, npow) / q_int(i, d, npow)
+        out = out * q_int(m - k + i, d) / q_int(i, d)
     return out
 
 
@@ -386,41 +362,20 @@ def _poly_str(p: tuple, shift: int, sym: str) -> str:
     return out
 
 
-def format_qrat(x: QRat, npow: int = 1) -> str:
-    """Render in q when every v-degree is a multiple of N, else in v."""
+def format_qrat(x: QRat) -> str:
+    """Render as a Laurent polynomial or a quotient of two in q."""
     if not x.num:
         return "0"
-    # pull a denominator monomial v**k into negative powers of the numerator
+    # pull a denominator monomial q**k into negative powers of the numerator
     num, den = x.num, x.den
     nz = next(i for i, c in enumerate(den) if c)
-    low = -nz
-    if nz:
-        den = den[nz:]
-
-    def degrees(p, shift):
-        return [i + shift for i, c in enumerate(p) if c]
-
-    degs = degrees(num, low) + degrees(den, 0)
-    if npow > 1 and all(d % npow == 0 for d in degs):
-        sym, scale = "q", npow
-    elif npow == 1:
-        sym, scale = "q", 1
-    else:
-        sym, scale = "v", 1
 
     def render(p, shift):
-        lo = min(degrees(p, shift))
-        terms = {}
-        for i, c in enumerate(p):
-            if c:
-                terms[(i + shift - lo)] = c
-        out = [0] * (max(terms) + 1)
-        for d, c in terms.items():
-            out[d // scale if scale > 1 else d] = c
-        return _poly_str(_trim(out), lo // scale if scale > 1 else lo, sym)
+        lo = next(i for i, c in enumerate(p) if c)
+        return _poly_str(p[lo:], lo + shift, "q")
 
-    top = render(num, low)
-    bot = render(den, 0)
+    top = render(num, -nz)
+    bot = render(den[nz:], 0)
     if bot == "1":
         return top
     topp = top if ("+" not in top and " - " not in top) else "(%s)" % top

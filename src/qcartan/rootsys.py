@@ -82,7 +82,6 @@ class RootData:
     d: tuple
     positive_roots: tuple = field(default=(), compare=False)
     fundamental_weights: tuple = field(default=(), compare=False)
-    fractional_order: int = field(default=1, compare=False)
 
     # -- inner product ------------------------------------------------
     def inner(self, lam: Weight, mu: Weight) -> Fraction:
@@ -153,17 +152,6 @@ class RootData:
             lam = self.reflect(i, lam)
         return lam
 
-    def weyl_action(self, subset, which, lam: Weight) -> Weight:
-        """Apply s_i (which=('reflection', i)) or w(pi')_0 (which='longest')."""
-        if which == "longest":
-            if not subset:
-                return lam
-            return self.weyl_longest(subset, lam)
-        kind, i = which
-        if kind != "reflection":
-            raise ValueError("unknown Weyl action %r" % (which,))
-        return self.reflect(i, lam)
-
     # -- statistics -------------------------------------------------------
     def support(self, lam: Weight) -> frozenset:
         return frozenset(i + 1 for i, c in enumerate(lam) if c)
@@ -174,13 +162,6 @@ class RootData:
     def height_tau(self, lam: Weight, tau) -> Fraction:
         tau = set(tau)
         return sum((c for i, c in enumerate(lam) if i + 1 in tau), Fraction(0))
-
-    def weight_stats(self, lam: Weight, tau=()):
-        return (self.support(lam), self.height(lam),
-                self.height_tau(lam, tau))
-
-    def mult(self, lam: Weight, i: int) -> Fraction:
-        return lam[i - 1]
 
     # -- orthogonality ------------------------------------------------------
     def is_strongly_orthogonal(self, beta: Weight, gamma: Weight) -> bool:
@@ -260,29 +241,11 @@ def build_root_data(family: str, rank: int) -> RootData:
                              % (family, rank))
 
     # fundamental weights: (nu_i, alpha_j) = delta_ij d_j
-    fund = []
-    for i in range(rank):
-        fund.append(_solve_fundamental(rd, i))
-    denoms = [c.denominator for w in fund for v in fund for c in
-              [_inner_raw(rd, w, v)]]
-    order = 1
-    for x in denoms:
-        order = order * x // __import__("math").gcd(order, x)
+    fund = tuple(_solve_fundamental(rd, i) for i in range(rank))
 
     object.__setattr__(rd, "positive_roots", positive)
-    object.__setattr__(rd, "fundamental_weights", tuple(fund))
-    object.__setattr__(rd, "fractional_order", order)
+    object.__setattr__(rd, "fundamental_weights", fund)
     return rd
-
-
-def _inner_raw(rd, lam, mu):
-    total = Fraction(0)
-    for i, ci in enumerate(lam):
-        if ci:
-            for j, cj in enumerate(mu):
-                if cj:
-                    total += ci * cj * rd.d[j] * rd.cartan[j][i]
-    return total
 
 
 def _solve_fundamental(rd: RootData, i: int) -> Weight:

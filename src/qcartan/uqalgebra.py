@@ -12,15 +12,16 @@ coordinates, so equality is structural.  Conventions:
 with q_i = q^{d_i}.  These reproduce the exchange identity
 E_i F_i K_i - q^-2 F_i K_i E_i = -(q - q^-1)^-1 (1 - K_i^2) in simply laced
 types and the printed coideal relations; the braid/automorphism tests pin
-them down further.
+them down further.  Coefficients lie in Q(q) and every power of q the engine
+forms is an integer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Echelon
-from .qfield import ONE, QRat, format_qrat, q_factorial
+from .linalg import Echelon, _accumulate, kernel_basis, vec_add
+from .qfield import ONE, QRat, format_qrat, q_factorial, q_power
 from .rootsys import RootData, build_root_data
 from .weightspaces import WeightSpaces
 
@@ -48,18 +49,7 @@ class Element:
 
     # -- ring structure ---------------------------------------------------
     def __add__(self, other):
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            got = out.get(t)
-            if got is None:
-                out[t] = c
-            else:
-                s = got + c
-                if s:
-                    out[t] = s
-                else:
-                    del out[t]
-        return Element(self.alg, out)
+        return Element(self.alg, vec_add(self.terms, other.terms))
 
     def __neg__(self):
         return Element(self.alg, {t: -c for t, c in self.terms.items()})
@@ -93,16 +83,6 @@ class Element:
     __bool__ = lambda self: bool(self.terms)
 
     # -- structure readers --------------------------------------------------
-    def term_weight(self, term: Term):
-        u, mu, v = term
-        rd = self.alg.rd
-        out = list(mu)
-        for t in u:
-            out[t - 1] -= 1
-        for t in v:
-            out[t - 1] += 1
-        return tuple(out)
-
     def ad_weight(self, term: Term):
         u, mu, v = term
         out = [Fraction(0)] * self.alg.rd.rank
@@ -122,23 +102,24 @@ class Element:
         out = []
         for (u, mu, v), c in self.sorted_terms():
             out.append({"f": list(u), "k": [str(x) for x in mu],
-                        "e": list(v), "c": c.to_json(self.alg.npow)})
+                        "e": list(v), "c": c.to_json()})
         return {"terms": out}
 
 
 class Algebra:
-    """Engine session: fixed root datum and fractional-power order N."""
+    """Engine session over a fixed root datum."""
 
-    def __init__(self, rd_or_family, rank: int | None = None, npow: int = 1):
+    npow = 1    # q = v; the V (x) V oracle in bench/ checks it
+
+    def __init__(self, rd_or_family, rank: int | None = None):
         if isinstance(rd_or_family, RootData):
             rd = rd_or_family
         else:
             rd = build_root_data(rd_or_family, rank)
         self.rd = rd
-        self.npow = npow
-        self.ws = WeightSpaces(rd, npow)
+        self.ws = WeightSpaces(rd)
         self._ef_memo: dict = {}
-        self.q = self.ws.qpow(1)
+        self.q = q_power(1)
 
     # -- constructors -----------------------------------------------------
     def zero(self) -> Element:
@@ -170,11 +151,8 @@ class Algebra:
         return self.K(tuple((power if j == i - 1 else 0)
                             for j in range(self.rd.rank)))
 
-    def qpow(self, e) -> QRat:
-        return self.ws.qpow(e)
-
     def q_i(self, i: int) -> QRat:
-        return self.ws.qpow(self.rd.d[i - 1])
+        return q_power(self.rd.d[i - 1])
 
     def _check_index(self, i: int):
         if not 1 <= i <= self.rd.rank:
@@ -183,15 +161,7 @@ class Algebra:
     def from_terms(self, items) -> Element:
         out: dict = {}
         for t, c in items:
-            c = _as_qrat(c)
-            if not c:
-                continue
-            got = out.get(t)
-            s = c if got is None else got + c
-            if s:
-                out[t] = s
-            elif got is not None:
-                del out[t]
+            _accumulate(out, t, _as_qrat(c))
         return Element(self, out)
 
     # -- multiplication -----------------------------------------------------
@@ -203,15 +173,15 @@ class Algebra:
             return got
         rd = self.rd
         out = []
-        fac = (self.ws.qpow(rd.d[j - 1]) -
-               self.ws.qpow(-rd.d[j - 1])).inverse()
+        qj = self.q_i(j)
+        fac = (qj - qj.inverse()).inverse()
         prefix_weight = [Fraction(0)] * rd.rank
         for p, letter in enumerate(v):
             if letter == j:
-                ip = self.ws._ip(j, tuple(prefix_weight))
+                ip = rd.inner(rd.simple(j), tuple(prefix_weight))
                 rest = v[:p] + v[p + 1:]
-                out.append((+1, self.ws.qpow(-ip) * fac, rest))
-                out.append((-1, -(self.ws.qpow(ip) * fac), rest))
+                out.append((+1, q_power(-ip) * fac, rest))
+                out.append((-1, -(q_power(ip) * fac), rest))
             prefix_weight[letter - 1] += 1
         self._ef_memo[key] = out
         return out
@@ -220,27 +190,18 @@ class Algebra:
         rd = self.rd
         alpha = rd.simple(j)
         out: dict = {}
-
-        def put(t, c):
-            got = out.get(t)
-            s = c if got is None else got + c
-            if s:
-                out[t] = s
-            elif got is not None:
-                del out[t]
-
         for (u, mu, v), c in terms.items():
-            base = c * self.ws.qpow(-rd.inner(mu, alpha))
+            base = c * q_power(-rd.inner(mu, alpha))
             for b, cb in self.ws.reduce_word(u + (j,)).items():
-                put((b, mu, v), base * cb)
+                _accumulate(out, (b, mu, v), base * cb)
             for sgn, cf, rest in self._ef_pass(v, j):
                 mu2 = tuple(m + sgn * a for m, a in zip(mu, alpha))
                 cc = c * cf
                 if len(rest) <= 1:
-                    put((u, mu2, rest), cc)
+                    _accumulate(out, (u, mu2, rest), cc)
                 else:
                     for b2, cb2 in self.ws.reduce_word(rest).items():
-                        put((u, mu2, b2), cc * cb2)
+                        _accumulate(out, (u, mu2, b2), cc * cb2)
         return out
 
     def _times_K(self, terms: dict, nu, coeff=ONE) -> dict:
@@ -248,29 +209,16 @@ class Algebra:
         out: dict = {}
         for (u, mu, v), c in terms.items():
             wv = self.ws.word_weight(v)
-            fac = self.ws.qpow(-rd.inner(nu, wv)) if v else ONE
+            fac = q_power(-rd.inner(nu, wv)) if v else ONE
             t = (u, tuple(m + x for m, x in zip(mu, nu)), v)
-            cc = c * fac * coeff
-            got = out.get(t)
-            s = cc if got is None else got + cc
-            if s:
-                out[t] = s
-            elif got is not None:
-                del out[t]
+            _accumulate(out, t, c * fac * coeff)
         return out
 
     def _times_E(self, terms: dict, k: int) -> dict:
         out: dict = {}
         for (u, mu, v), c in terms.items():
             for b, cb in self.ws.reduce_word(v + (k,)).items():
-                t = (u, mu, b)
-                cc = c * cb
-                got = out.get(t)
-                s = cc if got is None else got + cc
-                if s:
-                    out[t] = s
-                elif got is not None:
-                    del out[t]
+                _accumulate(out, (u, mu, b), c * cb)
         return out
 
     def mul(self, a: Element, b: Element) -> Element:
@@ -284,12 +232,7 @@ class Algebra:
             for k in v2:
                 cur = self._times_E(cur, k)
             for t, c in cur.items():
-                got = total.get(t)
-                s = c if got is None else got + c
-                if s:
-                    total[t] = s
-                elif got is not None:
-                    del total[t]
+                _accumulate(total, t, c)
         return Element(self, total)
 
     # -- adjoint action -------------------------------------------------------
@@ -300,7 +243,7 @@ class Algebra:
         out = {}
         for t, c in a.terms.items():
             w = a.ad_weight(t)
-            out[t] = c * self.ws.qpow(power * rd.inner(mu, w))
+            out[t] = c * q_power(power * rd.inner(mu, w))
         return Element(self, out)
 
     def ad_E(self, i: int, a: Element) -> Element:
@@ -359,18 +302,16 @@ class Algebra:
 
     def phi(self, a: Element) -> Element:
         """Automorphism over q -> q^{-1} fixing E_i, F_i, inverting K's."""
-        out = {}
+        out: dict = {}
         for (u, mu, v), c in a.terms.items():
-            t = (u, tuple(-m for m in mu), v)
-            cc = c.substitute_inverse()
-            got = out.get(t)
-            out[t] = cc if got is None else got + cc
-        return Element(self, {t: c for t, c in out.items() if c})
+            _accumulate(out, (u, tuple(-m for m in mu), v),
+                        c.substitute_inverse())
+        return Element(self, out)
 
     def phi_prime(self, a: Element) -> Element:
         """Automorphism over q -> q^{-1} fixing F_iK_i and K_i^{-1}E_i."""
         rd = self.rd
-        out = {}
+        out: dict = {}
         for (u, mu, v), c in a.terms.items():
             lam_u = self.ws.word_weight(u)
             lam_v = self.ws.word_weight(v)
@@ -383,11 +324,9 @@ class Algebra:
                     fac += 2 * rd.inner(rd.simple(v[s]), rd.simple(v[t]))
             mu2 = tuple(2 * a_ - m - 2 * b_
                         for a_, m, b_ in zip(lam_u, mu, lam_v))
-            cc = c.substitute_inverse() * self.ws.qpow(fac)
-            t2 = (u, mu2, v)
-            got = out.get(t2)
-            out[t2] = cc if got is None else got + cc
-        return Element(self, {t: c for t, c in out.items() if c})
+            _accumulate(out, (u, mu2, v),
+                        c.substitute_inverse() * q_power(fac))
+        return Element(self, out)
 
     def apply_symmetry(self, kind: str, a: Element) -> Element:
         table = {"kappa": self.kappa, "sigma": self.sigma, "phi": self.phi,
@@ -479,8 +418,7 @@ class Algebra:
                 for t, c in self.ad_F(j, x).terms.items():
                     col[("F", j, t)] = c
             columns.append(col)
-        kerns = __import__("qcartan.linalg", fromlist=["kernel_basis"]) \
-            .kernel_basis(columns, labels=list(range(len(vectors))))
+        kerns = kernel_basis(columns)
         out = []
         for combo in kerns:
             x = self.zero()
@@ -495,9 +433,9 @@ class Algebra:
         t0 = min(x.terms)
         return x.scale(x.terms[t0].inverse())
 
-    def ad_span(self, side: str, beta, k_start: Element) -> Echelon:
-        """Echelonized span of (ad X_w) k_start over words of weight beta,
-        X = F (side '-') or E (side '+')."""
+    def ad_span(self, side: str, beta, k_start: Element) -> list[Element]:
+        """A basis of the span of (ad X_w) k_start over words of weight beta,
+        X = F (side '-') or E (side '+'), found layer by layer in weight."""
         rd = self.rd
         target = tuple(int(c) for c in rd.weight(beta))
         layers = {tuple([0] * rd.rank): [k_start]}
@@ -524,16 +462,13 @@ class Algebra:
                 ech = Echelon()
                 keep = []
                 for x in layers[nw]:
-                    if ech.add(dict(x.terms))[0]:
+                    if ech.add(x.terms)[0]:
                         keep.append(x)
                 layers[nw] = keep
             order = new_order
             if not order:
                 break
-        ech = Echelon()
-        for x in layers.get(target, []):
-            ech.add(dict(x.terms))
-        return ech
+        return layers.get(target, [])
 
     def ad_submodule_membership(self, x: Element, nu_index: int,
                                 sign: str = "-") -> bool:
@@ -551,8 +486,10 @@ class Algebra:
         nu = rd.fundamental_weights[nu_index - 1]
         shift = tuple(b - 2 * c for b, c in zip(beta, nu))
         target = x * self.K(shift)
-        span = self.ad_span(sign, beta, self.K(tuple(-2 * c for c in nu)))
-        return span.contains(dict(target.terms))
+        span = Echelon()
+        for y in self.ad_span(sign, beta, self.K(tuple(-2 * c for c in nu))):
+            span.add(y.terms)
+        return span.contains(target.terms)
 
     # -- rendering ----------------------------------------------------------------
     def render_term(self, term: Term) -> str:
@@ -572,7 +509,7 @@ class Algebra:
             return "0"
         bits = []
         for t, c in a.sorted_terms():
-            coef = format_qrat(c, self.npow)
+            coef = format_qrat(c)
             mono = self.render_term(t)
             if mono == "1":
                 piece = coef
@@ -591,9 +528,6 @@ class Algebra:
         return out
 
     # -- specialization ---------------------------------------------------------
-    def min_valuation_at_one(self, a: Element) -> int:
-        return min(c.eval_at_one()[0] for c in a.terms.values())
-
     def in_integral_form(self, a: Element) -> bool:
         """Membership in the specialization ring at q = 1.
 
@@ -624,11 +558,7 @@ class Algebra:
                 w = 1
                 for ei, mi in zip(e, exps):
                     w *= comb(mi, ei)
-                key = tuple(e)
-                add = c.scale_int(w) if hasattr(c, "scale_int") else \
-                    c * _as_qrat(w)
-                got = coeffs.get(key)
-                coeffs[key] = add if got is None else got + add
+                _accumulate(coeffs, tuple(e), c * _as_qrat(w))
         for e, g in coeffs.items():
             if g and g.eval_at_one()[0] < -sum(e):
                 return False
@@ -655,7 +585,8 @@ def _exp_boxes(exps):
             yield [e0] + rest
 
 
-def q_commutator(a: Element, b: Element, scale=ONE) -> Element:
+def q_comm(a: Element, b: Element, scale=ONE) -> Element:
+    """The q-commutator [a, b]_scale = ab - scale ba."""
     return a * b - (b * a).scale(scale)
 
 
@@ -665,7 +596,7 @@ def _divided_power(alg: Algebra, gen, i: int, s: int) -> Element:
     out = alg.one()
     for _ in range(s):
         out = out * gen(i)
-    return out.scale(q_factorial(s, alg.rd.d[i - 1], alg.npow).inverse())
+    return out.scale(q_factorial(s, alg.rd.d[i - 1]).inverse())
 
 
 def lusztig_T_images(alg: Algebra, i: int, direction: int = +1) -> dict:

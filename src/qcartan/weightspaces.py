@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import Echelon, vec_add, vec_scale
-from .qfield import ONE, QRat, q_power
+from .qfield import ONE, q_power
 from .rootsys import RootData, kostant_partition_count
 
 
@@ -34,24 +34,17 @@ class _Space:
 class WeightSpaces:
     """Grow-only cache of weight-space bases and reduction tables."""
 
-    def __init__(self, rd: RootData, npow: int = 1):
+    def __init__(self, rd: RootData):
         self.rd = rd
-        self.npow = npow
         self._spaces: dict[tuple, _Space] = {}
         self._reduce_memo: dict[tuple, dict] = {}
         self._qafac = [None] + [
-            (q_power(rd.d[i], npow) - q_power(-rd.d[i], npow)).inverse()
+            (q_power(rd.d[i]) - q_power(-rd.d[i])).inverse()
             for i in range(rd.rank)]
-
-    # -- scalars ---------------------------------------------------------
-    def qpow(self, e) -> QRat:
-        return q_power(e, self.npow)
-
-    def _ip(self, k: int, weight) -> Fraction:
-        # (alpha_k, weight) for an integer weight tuple
-        rd = self.rd
-        return sum((Fraction(c) * rd.d[j] * rd.cartan[j][k - 1]
-                    for j, c in enumerate(weight) if c), Fraction(0))
+        simple = {k: rd.simple(k) for k in range(1, rd.rank + 1)}
+        # (k, i) -> q^{-(alpha_k, alpha_i)}
+        self._qpair = {(k, i): q_power(-rd.inner(ak, ai))
+                       for k, ak in simple.items() for i, ai in simple.items()}
 
     # -- space construction ----------------------------------------------
     def space(self, weight: tuple) -> _Space:
@@ -78,18 +71,15 @@ class WeightSpaces:
             return _Space(((),), {}, {(k, ()): ({}, {})
                                       for k in range(1, n + 1)})
 
+        # i -> (coefficient of the K_i term of [E_i, F_i y], space of y)
+        # for y of weight `weight - alpha_i`
         lowers = {}
         for i in range(1, n + 1):
             if weight[i - 1]:
                 low = tuple(c - (1 if j == i - 1 else 0)
                             for j, c in enumerate(weight))
-                lowers[i] = (low, self.space(low))
-        sub = {}
-        for k in range(1, n + 1):
-            if weight[k - 1]:
-                wk = tuple(c - (1 if j == k - 1 else 0)
-                           for j, c in enumerate(weight))
-                sub[k] = (wk, self.space(wk))
+                g = self._qafac[i] * q_power(-rd.inner(rd.simple(i), low))
+                lowers[i] = (g, self.space(low))
 
         spanning = sorted((i,) + b for i, (_, sp) in lowers.items()
                           for b in sp.basis)
@@ -100,25 +90,24 @@ class WeightSpaces:
         def psi(word):
             i = word[0]
             b = word[1:]
-            low_weight, low_sp = lowers[i]
+            g, low_sp = lowers[i]
             out_a, out_b = {}, {}
             stacked = {}
             for k in range(1, n + 1):
-                if k not in sub:
+                if k not in lowers:
                     out_a[k], out_b[k] = {}, {}
                     continue
-                wk, spk = sub[k]
+                spk = lowers[k][1]
                 a_b, b_b = low_sp.ab[(k, b)]
                 # F_i * (lower A/B parts), pushed into basis coords of wk
                 av = {}
                 for lw, c in a_b.items():
                     av = vec_add(av, vec_scale(spk.coords[(i, lw)], c))
                 bv = {}
-                fac = self.qpow(-self._ip(k, rd.simple(i)))
+                fac = self._qpair[k, i]
                 for lw, c in b_b.items():
                     bv = vec_add(bv, vec_scale(spk.coords[(i, lw)], c * fac))
                 if k == i:
-                    g = self._qafac[k] * self.qpow(-self._ip(k, low_weight))
                     av = vec_add(av, {b: g})
                     bv = vec_add(bv, {b: -self._qafac[k]})
                 out_a[k], out_b[k] = av, bv

@@ -8,7 +8,7 @@ from conftest import shared_algebra, shared_params
 from qcartan.classical import verify_classical_cartan
 from qcartan.coideal import cartan_element, q_comm, verify_cartan_suite
 from qcartan.involutions import gamma_theta, verify_theta_system
-from qcartan.linalg import kernel_basis
+from qcartan.linalg import Echelon, kernel_basis
 from qcartan.qfield import ONE
 from qcartan.rootsys import kostant_partition_count, weights_up_to_height
 
@@ -192,8 +192,10 @@ def test_criterion_08_uniqueness_of_lifts():
             nu_idx = entry.alpha_beta
             nu = alg.rd.fundamental_weights[nu_idx - 1]
             shift = tuple(b - 2 * c for b, c in zip(entry.beta, nu))
-            span = alg.ad_span("-", entry.beta,
-                               alg.K(tuple(-2 * c for c in nu)))
+            span = Echelon()
+            for x in alg.ad_span("-", entry.beta,
+                                 alg.K(tuple(-2 * c for c in nu))):
+                span.add(x.terms)
             cols = [span.residual(dict((x * alg.K(shift)).terms))
                     for x in basis]
             cut = kernel_basis(cols)

@@ -123,8 +123,8 @@ def test_theta_system_command(capsys):
 
 
 def test_classical_command(capsys):
-    rc, out = run(["classical-cartan", "--pair", "BI", "--n", "3", "--r", "3",
-                   "--verify"], capsys)
+    rc, out = run(["classical-cartan", "--pair", "BI", "--n", "3", "--r", "3"],
+                  capsys)
     assert rc == 0
     assert "pass" in out
 
@@ -173,3 +173,70 @@ def test_config_file(tmp_path, capsys):
     cfg.write_text("pair = AIII\nn = 2\nr = 1\n")
     rc, _ = run(["member", "--config", str(cfg), "--expr", "B1"], capsys)
     assert rc == 0
+
+
+@pytest.mark.parametrize("text", [
+    "n = two\n",                   # not an integer
+    "pair = AIII\nN = 1\n",        # unknown key (q = v^N is gone)
+    "pair = AIII\ncolour = red\n",  # unknown key
+    "pair = AIII\nn 2\n",          # no '='
+])
+def test_bad_config_exit_code(tmp_path, capsys, text):
+    cfg = tmp_path / "session.cfg"
+    cfg.write_text(text)
+    rc = main(["member", "--config", str(cfg), "--expr", "B1"])
+    assert rc == 2
+    assert "config line" in capsys.readouterr().err
+
+
+def test_missing_config_exit_code(tmp_path, capsys):
+    rc = main(["member", "--config", str(tmp_path / "absent.cfg"),
+               "--expr", "B1"])
+    assert rc == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["normal-form", "--expr", "E1"],
+    ["cartan", "--family", "A", "--rank", "2"],
+    ["member", "--family", "A", "--rank", "2", "--expr", "E1"],
+])
+def test_missing_session_exit_code(capsys, args):
+    assert main(args) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("j", ["0", "2"])
+def test_cartan_index_out_of_range_exit_code(capsys, j):
+    # AIII(2,1) has one system root, so only --j 1 names an H_j
+    assert main(["cartan", "--pair", "AIII", "--n", "2", "--j", j]) == 2
+    assert "--j must lie in 1..1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["normal-form", "--family", "A", "--rank", "2", "--N", "2",
+     "--expr", "E1"],
+    ["cartan", "--pair", "AIII", "--n", "2", "--verify"],
+    ["classical-cartan", "--pair", "AI", "--n", "2", "--verify"],
+])
+def test_removed_options_are_usage_errors(args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("expr", ["K[1/2,0] E2", "E2 K[1/2,0]"])
+def test_k_exponent_outside_weight_lattice(capsys, expr):
+    rc = main(["normal-form", "--family", "A", "--rank", "2",
+               "--expr", expr])
+    assert rc == 2
+    assert "weight lattice" in capsys.readouterr().err
+
+
+def test_k_exponent_in_weight_lattice(capsys):
+    # the fundamental weight (2/3, 1/3) of A2 pairs integrally with every
+    # coroot, so q^((mu, alpha_1)) = q is an integer power
+    rc, out = run(["normal-form", "--family", "A", "--rank", "2",
+                   "--expr", "E1 K[2/3,1/3]"], capsys)
+    assert rc == 0
+    assert out == "q^-1 K[2/3,1/3] E1\n"

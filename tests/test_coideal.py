@@ -5,11 +5,11 @@ import random
 import pytest
 from conftest import shared_params
 
-from qcartan.classical import matrix_root_vector
-from qcartan.coideal import (_matrix_ratio, _proportional, cartan_element,
-                             q_comm, specialize_to_matrix,
+from qcartan.classical import mat_vec, matrix_root_vector
+from qcartan.coideal import (cartan_element, q_comm, specialize_to_matrix,
                              verify_cartan_suite)
 from qcartan.involutions import gamma_theta
+from qcartan.linalg import vec_ratio
 from qcartan.qfield import ONE, QRat, qvar
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -121,7 +121,7 @@ def test_section83_identity():
             q * (q - q ** -1))
     assert H2 == rhs
     # kappa pairs the extreme parts
-    assert _proportional(alg.kappa(Y), X) is not None
+    assert vec_ratio(X.terms, alg.kappa(Y).terms) is not None
 
 
 def test_h_prime_recursion_and_cases():
@@ -198,8 +198,9 @@ def test_lift_cases():
     parb = shared_params("BI", 2, 1)
     tsb = gamma_theta("BI", 2, 1)
     Y = parb.lift_Y(tsb, 1)
-    ratio = _matrix_ratio(specialize_to_matrix(parb.algebra, Y, "-"),
-                          matrix_root_vector("B", 2, tsb.entries[0].beta, -1))
+    ratio = vec_ratio(
+        mat_vec(specialize_to_matrix(parb.algebra, Y, "-")),
+        mat_vec(matrix_root_vector("B", 2, tsb.entries[0].beta, -1)))
     assert ratio is not None and ratio != 0
     # case 2 and case 5 lifts exist and are weight vectors
     parc = shared_params("CII-1", 3, 2)
@@ -246,13 +247,13 @@ def test_type_b_pair():
     X, Y = par.type_b_pair(ts.entries[0].beta, 1, 2)
     assert not X.is_zero() and not Y.is_zero()
     assert par.membership(X + Y)
-    ratio = _proportional(par.algebra.kappa(X), Y)
+    ratio = vec_ratio(Y.terms, par.algebra.kappa(X).terms)
     assert ratio is not None and ratio != 0
     parb = shared_params("BI", 3, 1)
     tsb = gamma_theta("BI", 3, 1)
     X, Y = parb.type_b_pair(tsb.entries[0].beta, 1, 3)
     assert parb.membership(X + Y)
-    assert _proportional(parb.algebra.kappa(X), Y) is not None
+    assert vec_ratio(Y.terms, parb.algebra.kappa(X).terms) is not None
 
 
 def test_cartan_element_case1():
@@ -284,7 +285,7 @@ def test_cartan_element_n3_matches_worked_example():
     B = par.B
     inner = q_comm(B(2), B(1), q)
     H2 = q_comm(B(3), inner, q) + B(2) * alg.K((1, 0, -1))
-    ratio = _proportional(rep.H, H2)
+    ratio = vec_ratio(H2.terms, rep.H.terms)
     assert ratio is not None and ratio != 0
 
 
@@ -296,6 +297,16 @@ def test_cartan_reports_other_families():
         for j in range(1, len(ts.entries) + 1):
             rep = cartan_element(par, ts, j)
             assert rep.ok(), (label, n, r, j, rep.checks)
+
+
+def test_specialization_failure_keeps_reason():
+    # BI(3,1) is the one pair whose Cartan element fails the q = 1 check
+    # (its X part has a pole at q = 1); the report keeps the reason
+    par = shared_params("BI", 3, 1)
+    ts = gamma_theta("BI", 3, 1)
+    rep = cartan_element(par, ts, 1)
+    assert rep.checks["specialization_valuations"] is False
+    assert "valuation" in rep.scalars["specialization_error"]
 
 
 def test_deg_f_of_b_words():

@@ -136,7 +136,7 @@ def test_classify_case_mults():
     for label, n, r in ALL_CASES:
         ts = gamma_theta(label, n, r)
         for e in ts.entries:
-            assert ts.rd.mult(e.beta, e.alpha_beta) in (1, 2)
+            assert e.beta[e.alpha_beta - 1] in (1, 2)
 
 
 def test_corrupted_system_fails():

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcartan.qfield import (ONE, QRat, ZERO, format_qrat, gauss_binomial,
-                            q_int, q_power, qq_arith, qq_eval_at_one,
-                            qq_substitute_inverse, qvar)
+                            q_int, q_power, qvar)
 
 q = qvar()
 
@@ -57,55 +56,56 @@ def test_distributivity_and_evaluation():
         a, b = rand_qrat(rng), rand_qrat(rng)
         c = rand_qrat(rng)
         assert (a + b) * c == a * c + b * c
-        for op in ("add", "sub", "mul"):
-            vals = regular(a, b, qq_arith(a, b, op))
+        for got, ref in ((a + b, lambda x, y: x + y),
+                         (a - b, lambda x, y: x - y),
+                         (a * b, lambda x, y: x * y)):
+            vals = regular(a, b, got)
             if vals is None:
                 continue
-            av, bv, got = vals
-            ref = {"add": av + bv, "sub": av - bv, "mul": av * bv}[op]
-            assert got == ref
+            av, bv, gv = vals
+            assert gv == ref(av, bv)
         vals = regular(a, b)
         if vals and vals[1]:
-            div = regular(qq_arith(a, b, "div"))
+            div = regular(a / b)
             if div is not None:
                 assert div[0] == vals[0] / vals[1]
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        qq_arith(ONE, ZERO, "div")
+        ONE / ZERO
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
 
 
 def test_substitute_inverse_examples():
-    assert qq_substitute_inverse(q + q ** -1) == q + q ** -1
-    assert qq_substitute_inverse(q ** 2) == q ** -2
+    assert (q + q ** -1).substitute_inverse() == q + q ** -1
+    assert (q ** 2).substitute_inverse() == q ** -2
     z = (ONE - q) / (ONE + q)
-    assert qq_substitute_inverse(z) == (q - ONE) / (q + ONE)
+    assert z.substitute_inverse() == (q - ONE) / (q + ONE)
     # evaluation oracle: x(1/v) at v=2 equals x at v=1/2
-    assert qq_substitute_inverse(z).eval_at(2) == z.eval_at(Fraction(1, 2))
+    assert z.substitute_inverse().eval_at(2) == z.eval_at(Fraction(1, 2))
 
 
 def test_substitute_inverse_involution():
     rng = random.Random(7)
     for _ in range(100):
         a = rand_qrat(rng)
-        assert qq_substitute_inverse(qq_substitute_inverse(a)) == a
+        assert a.substitute_inverse().substitute_inverse() == a
 
 
 def test_eval_at_one():
-    assert qq_eval_at_one((q ** 2 - q) / (q - ONE)) == (0, Fraction(1))
-    assert qq_eval_at_one((q - q ** -1).inverse()) == (-1, None)
-    assert qq_eval_at_one((ONE + q) * (q - ONE) ** 2) == (2, Fraction(0))
+    assert ((q ** 2 - q) / (q - ONE)).eval_at_one() == (0, Fraction(1))
+    assert (q - q ** -1).inverse().eval_at_one() == (-1, None)
+    assert ((ONE + q) * (q - ONE) ** 2).eval_at_one() == (2, Fraction(0))
 
 
 def test_eval_at_one_order_multiplicative():
     rng = random.Random(11)
     for _ in range(60):
         a, b = rand_qrat(rng), rand_qrat(rng)
-        assert qq_eval_at_one(a * b)[0] == \
-            qq_eval_at_one(a)[0] + qq_eval_at_one(b)[0]
+        assert (a * b).eval_at_one()[0] == \
+            a.eval_at_one()[0] + b.eval_at_one()[0]
 
 
 def test_gauss_binomial_values():
@@ -138,9 +138,9 @@ def test_gauss_binomial_range_error():
 
 
 def test_fractional_power_guard():
-    assert q_power(Fraction(1, 2), 2) == QRat.v_power(1)
+    assert q_power(Fraction(4, 2)) == QRat.v_power(2)
     with pytest.raises(ValueError):
-        q_power(Fraction(1, 2), 1)
+        q_power(Fraction(1, 2))
 
 
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6),
@@ -163,4 +163,4 @@ def test_q_power_additivity(a, b):
 
 def test_q_int_symmetry():
     for m in range(1, 6):
-        assert qq_substitute_inverse(q_int(m)) == q_int(m)
+        assert q_int(m).substitute_inverse() == q_int(m)

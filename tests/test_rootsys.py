@@ -82,8 +82,8 @@ def test_strong_orthogonality_symmetric():
 def test_weyl_reflections():
     a2 = build_root_data("A", 2)
     assert a2.reflect(1, a2.simple(2)) == a2.weight((1, 1))
-    assert a2.weyl_action((), ("reflection", 1), a2.simple(2)) == \
-        a2.weight((1, 1))
+    assert a2.reflect(2, a2.simple(2)) == a2.weight((0, -1))
+    assert a2.weyl_longest((), a2.simple(2)) == a2.simple(2)
 
 
 def test_weyl_longest():
@@ -91,8 +91,6 @@ def test_weyl_longest():
     assert a2.weyl_longest((1, 2), a2.simple(1)) == a2.weight((0, -1))
     a3 = build_root_data("A", 3)
     assert a3.weyl_longest((2, 3), a3.simple(1)) == a3.weight((1, 1, 1))
-    assert a3.weyl_action((2, 3), "longest", a3.simple(1)) == \
-        a3.weight((1, 1, 1))
 
 
 def test_longest_element_involution_and_negation():
@@ -128,9 +126,12 @@ def test_reflection_closure():
 
 def test_weight_stats():
     a3 = build_root_data("A", 3)
-    supp, ht, ht_tau = a3.weight_stats(a3.weight((1, 1, 1)), (1, 3))
-    assert supp == {1, 2, 3} and ht == 3 and ht_tau == 2
-    assert a3.weight_stats(a3.zero(), (1,)) == (frozenset(), 0, 0)
+    lam = a3.weight((1, 1, 1))
+    assert a3.support(lam) == {1, 2, 3} and a3.height(lam) == 3
+    assert a3.height_tau(lam, (1, 3)) == 2
+    zero = a3.zero()
+    assert (a3.support(zero), a3.height(zero), a3.height_tau(zero, (1,))) \
+        == (frozenset(), 0, 0)
     c3 = build_root_data("C", 3)
     beta = c3.weight((2, 2, 1))
     assert c3.is_positive_root(beta)

@@ -7,7 +7,7 @@ from conftest import shared_algebra
 
 from qcartan.involutions import build_involution
 from qcartan.linalg import Echelon, kernel_basis
-from qcartan.qfield import ONE, QRat, gauss_binomial, qvar
+from qcartan.qfield import ONE, QRat, gauss_binomial, q_power, qvar
 
 
 def test_reduce_serre_to_zero(a2):
@@ -143,7 +143,7 @@ def test_ad_action(a2):
     q = a2.q
     assert a2.ad_K(1, 1, a2.F(2)) == a2.F(2).scale(q)
     lamw = (2, 1)
-    coef = ONE - a2.qpow(a2.rd.inner(a2.rd.weight(lamw), a2.rd.simple(1)))
+    coef = ONE - q_power(a2.rd.inner(a2.rd.weight(lamw), a2.rd.simple(1)))
     lhs = a2.ad_F(1, a2.K(tuple(-x for x in lamw)))
     rhs = (a2.F(1) * a2.Ki(1) * a2.K(tuple(-x for x in lamw))).scale(coef)
     assert lhs == rhs
