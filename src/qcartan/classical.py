@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .involutions import ThetaSystem
+from .involutions import ThetaSystem, max_strongly_orthogonal
 from .linalg import Echelon, vec_ratio
 from .rootsys import build_root_data
 
@@ -241,7 +241,7 @@ def verify_classical_cartan(ts: ThetaSystem) -> dict:
         ech.add(mat_vec(x))
     checks["dimension"] = (len(ech) == inv.dim_h_theta() + len(ts.entries))
     checks["expected_dimension_matches_rank"] = (
-        inv.dim_h_theta() + len(ts.entries) == inv.rank_fixed)
+        len(ech) == inv.dim_h_theta() + max_strongly_orthogonal(inv))
     return {"checks": checks, "signs": signs}
 
 

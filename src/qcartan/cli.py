@@ -7,7 +7,8 @@ import json
 import sys
 
 from .classical import cayley_on_triple, verify_classical_cartan
-from .coideal import CoidealParams, cartan_element, verify_cartan_suite
+from .coideal import (CoidealParams, cartan_element, require_suite_pair,
+                      verify_cartan_suite)
 from .exprparse import Evaluator, parse_expr
 from .involutions import (PAIR_LABELS, build_involution,
                           format_symbolic_basis, gamma_theta,
@@ -108,7 +109,7 @@ def cmd_theta_system(ns) -> int:
         }))
     else:
         for j, e in enumerate(ts.entries, start=1):
-            coords = ",".join(str(int(c)) for c in e.beta)
+            coords = ",".join(str(c) for c in e.beta)
             print("beta_%d = (%s)  alpha=%d alpha'=%d case %d"
                   % (j, coords, e.alpha_beta, e.alpha_beta_prime, e.case))
         for k, v in report.items():
@@ -168,15 +169,16 @@ def cmd_member(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
+    ts = gamma_theta(ns.pair, ns.n, ns.r)
+    if ns.what in ("all", "suite"):
+        require_suite_pair(ts.involution)
     ok = True
     results = {}
     if ns.what in ("all", "tables"):
-        ts = gamma_theta(ns.pair, ns.n, ns.r)
         rep = verify_theta_system(ts)
         results["theta_system"] = rep
         ok = ok and all(rep.values())
     if ns.what in ("all", "classical"):
-        ts = gamma_theta(ns.pair, ns.n, ns.r)
         if ts.rd.family in "ABCD":
             rep = verify_classical_cartan(ts)["checks"]
             results["classical_cartan"] = rep
@@ -184,8 +186,7 @@ def cmd_verify(ns) -> int:
         results["cayley"] = cayley_on_triple()
         ok = ok and all(results["cayley"].values())
     if ns.what in ("all", "suite"):
-        par = _params(ns)
-        ts = gamma_theta(ns.pair, ns.n, ns.r)
+        par = CoidealParams(ts.involution, Algebra(ts.rd))
         rep = verify_cartan_suite(par, ts, deep=not ns.shallow)
         flat = {k: v for k, v in rep.items()
                 if isinstance(v, bool)}

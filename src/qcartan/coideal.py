@@ -14,7 +14,6 @@ rank-one and rank-two worked examples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .classical import (chevalley_matrices, classical_nested, madd,
                         mat_vec, matrix_root_vector, mmul, mscale, zeros)
@@ -458,12 +457,23 @@ def _specialization_checks(alg: Algebra, entry, Y: Element, X: Element,
 # the full suite for the pi_theta-empty A family
 
 
+def require_suite_pair(inv: Involution):
+    """Raise ValueError unless inv is the AIII/AIV pair with pi_theta empty,
+    the one family verify_cartan_suite is defined for."""
+    n = inv.rd.rank
+    if inv.rd.family != "A" or inv.pi_theta or \
+            inv.p != tuple(range(n, 0, -1)):
+        raise ValueError("the Cartan suite needs an AIII/AIV pair with "
+                         "pi_theta empty")
+
+
 def verify_cartan_suite(params: CoidealParams, ts: ThetaSystem,
                         deep: bool = True) -> dict:
     """Checks (a)-(h) for AIII/AIV with pi_theta empty."""
     alg = params.algebra
     rd = alg.rd
     inv = params.involution
+    require_suite_pair(inv)
     n = rd.rank
     r = (n + 1) // 2
     q = alg.q
@@ -549,8 +559,7 @@ def verify_cartan_suite(params: CoidealParams, ts: ThetaSystem,
             mat_vec(specialize_to_matrix(alg, high, "+")),
             mat_vec(classical_nested("A", n, word)))
         details[j] = (ratio_f, ratio_e)
-        if ratio_f not in (Fraction(1), Fraction(-1)) or \
-                ratio_e not in (Fraction(1), Fraction(-1)):
+        if ratio_f not in (1, -1) or ratio_e not in (1, -1):
             ok = False
     report["specialization"] = ok
     report["specialization_signs"] = details

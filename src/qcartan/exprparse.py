@@ -270,12 +270,7 @@ class Evaluator:
         if kind == "K1":
             return alg.Ki(node[1], node[2])
         if kind == "K":
-            mu = alg.rd.weight(node[1])
-            if any(alg.rd.pairing(mu, i).denominator != 1
-                   for i in range(alg.rd.rank)):
-                raise ValueError("K-exponent %s is outside the weight lattice"
-                                 % ",".join(str(c) for c in mu))
-            return alg.K(mu)
+            return alg.K(node[1])
         if kind == "comm":
             a, b = self.run(node[1]), self.run(node[2])
             return q_comm(a, b, self._as_scalar(self.run(node[3])))

@@ -32,11 +32,10 @@ class Involution:
     pi_theta: frozenset
     p: tuple               # 1-based permutation; p[i-1] = p(i)
     h_theta: tuple         # spanning coroot combinations, dicts {i: coeff}
-    rank_fixed: int        # encoded rank of the fixed subalgebra
     s_subset: frozenset    # the table of simple roots allowed nonzero s_i
 
     def apply(self, lam: Weight) -> Weight:
-        out = [Fraction(0)] * self.rd.rank
+        out = [0] * self.rd.rank
         for i, c in enumerate(lam):
             if c:
                 for j, v in enumerate(self.images[i]):
@@ -94,7 +93,7 @@ class ThetaSystem:
 
 def _coroot_combo_weight(rd: RootData, span: dict) -> Weight:
     # h_i corresponds to the coroot alpha_i^vee = alpha_i/d_i on the dual side
-    out = [Fraction(0)] * rd.rank
+    out = [0] * rd.rank
     for i, c in span.items():
         out[i - 1] += Fraction(c, rd.d[i - 1])
     return tuple(out)
@@ -432,6 +431,7 @@ def _pair_table(pair: str, n: int | None, r: int | None):
         p = (6, 2, 5, 4, 3, 1)
         images = [_neg(rd, rd.simple(p[i - 1])) for i in range(1, 7)]
         gamma = [
+            GammaEntry(rd.weight((1, 2, 2, 3, 2, 1)), 2, 2, 2),
             GammaEntry(rd.weight((1, 0, 1, 1, 1, 1)), 1, 6, 3),
             GammaEntry(rd.weight((0, 0, 1, 1, 1, 0)), 3, 5, 3),
             GammaEntry(rd.simple(4), 4, 4, 1),
@@ -475,7 +475,12 @@ def _pair_table(pair: str, n: int | None, r: int | None):
             _neg(rd, rd.weight((0, 0, 0, 0, 1, 1, 1))),
             rd.simple(7),
         ]
-        gamma = [GammaEntry(rd.simple(1), 1, 1, 1)]
+        gamma = [
+            GammaEntry(rd.weight((2, 2, 3, 4, 3, 2, 1)), 1, 1, 2),
+            GammaEntry(rd.weight((0, 1, 1, 2, 2, 2, 1)), 6, 6, 2),
+            GammaEntry(rd.weight((0, 1, 1, 2, 1, 0, 0)), 4, 4, 2),
+            GammaEntry(rd.simple(3), 3, 3, 1),
+        ]
         h = ({2: 1}, {5: 1}, {7: 1})
         return (rd, images, frozenset({2, 5, 7}), tuple(range(1, 8)), gamma,
                 h, frozenset())
@@ -562,7 +567,7 @@ def gamma_theta(pair: str, n: int | None = None,
     """The encoded maximum strongly orthogonal theta-system of the pair."""
     rd, images, pith, p, gamma, h, s_set = _pair_table(pair, n, r)
     inv = Involution(rd, pair, (n, r), tuple(images), pith, tuple(p),
-                     tuple(h), len(h) + len(gamma), s_set)
+                     tuple(h), s_set)
     inv.validate()
     return ThetaSystem(inv, tuple(gamma))
 
@@ -577,6 +582,33 @@ def delta_theta(inv: Involution) -> tuple:
     """All positive roots sent to their negatives by theta."""
     return tuple(b for b in inv.rd.positive_roots
                  if inv.apply(b) == tuple(-c for c in b))
+
+
+def max_strongly_orthogonal(inv: Involution) -> int:
+    """The size of a largest strongly orthogonal subset of Delta_theta.
+
+    A clique search over bitsets.  Orthogonal roots are linearly
+    independent and Delta_theta lies in the (-1)-eigenspace of theta, whose
+    dimension (rank - trace theta)/2 bounds the answer; the search stops as
+    soon as it reaches that bound.
+    """
+    rd = inv.rd
+    roots = delta_theta(inv)
+    bound = (rd.rank - sum(inv.images[i][i] for i in range(rd.rank))) // 2
+    adj = [sum(1 << k for k, g in enumerate(roots)
+               if rd.is_strongly_orthogonal(b, g)) for b in roots]
+    best = 0
+
+    def grow(size, cand):
+        nonlocal best
+        best = max(best, size)
+        while cand and best < bound and size + cand.bit_count() > best:
+            k = cand.bit_length() - 1
+            cand ^= 1 << k
+            grow(size + 1, cand & adj[k])
+
+    grow(0, (1 << len(roots)) - 1)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +737,7 @@ def verify_theta_system(ts: ThetaSystem) -> dict:
     checks["case_shape_equations"] = ok
 
     checks["maximality_size"] = (
-        len(entries) == inv.rank_fixed - inv.dim_h_theta())
+        len(entries) == max_strongly_orthogonal(inv))
     return checks
 
 
@@ -730,6 +762,6 @@ def format_symbolic_basis(ts: ThetaSystem) -> list[str]:
             s = " ".join(parts).lstrip("+")
             out.append(s)
         else:
-            coords = ",".join(str(int(c)) for c in data)
+            coords = ",".join(str(c) for c in data)
             out.append("e[%s] + f[-(%s)]" % (coords, coords))
     return out

@@ -1,6 +1,8 @@
 """Finite root systems of types A-G.
 
-Weights are tuples of Fractions in the simple-root basis.  Inner products
+Weights are tuples in the simple-root basis: int coordinates on the root
+lattice, and Fractions only for weights off it (fundamental weights,
+coroots, fractional K-exponents).  Inner products
 follow the convention that short roots have squared length 2, so
 (alpha_i, alpha_j) = d_j * a_ji with a the Cartan matrix and d the
 symmetrizers.  Simple-root labelling is Bourbaki's.
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-Weight = tuple  # of Fractions
+Weight = tuple  # of ints, or of Fractions off the root lattice
 
 _POSITIVE_ROOT_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -84,10 +86,10 @@ class RootData:
     fundamental_weights: tuple = field(default=(), compare=False)
 
     # -- inner product ------------------------------------------------
-    def inner(self, lam: Weight, mu: Weight) -> Fraction:
+    def inner(self, lam: Weight, mu: Weight):
         if len(lam) != self.rank or len(mu) != self.rank:
             raise ValueError("weight length does not match rank")
-        total = Fraction(0)
+        total = 0
         for i, ci in enumerate(lam):
             if ci:
                 for j, cj in enumerate(mu):
@@ -95,22 +97,24 @@ class RootData:
                         total += ci * cj * self.d[j] * self.cartan[j][i]
         return total
 
-    def pairing(self, lam: Weight, i: int) -> Fraction:
+    def pairing(self, lam: Weight, i: int):
         """<lam, alpha_i^vee> = 2(lam, alpha_i)/(alpha_i, alpha_i)."""
-        return sum((self.cartan[i][j] * c for j, c in enumerate(lam) if c),
-                   Fraction(0))
+        return sum(self.cartan[i][j] * c for j, c in enumerate(lam) if c)
 
     # -- basic weight helpers ------------------------------------------
     def zero(self) -> Weight:
-        return (Fraction(0),) * self.rank
+        return (0,) * self.rank
 
     def simple(self, i: int) -> Weight:
         if not 1 <= i <= self.rank:
             raise ValueError("simple root index out of range")
-        return tuple(Fraction(1 if j == i - 1 else 0) for j in range(self.rank))
+        return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
     def weight(self, coords) -> Weight:
-        w = tuple(Fraction(c) for c in coords)
+        """coords as a Weight: an int for each integral coordinate, a
+        Fraction for the others."""
+        w = tuple(f.numerator if (f := Fraction(c)).denominator == 1 else f
+                  for c in coords)
         if len(w) != self.rank:
             raise ValueError("weight length does not match rank")
         return w
@@ -156,12 +160,12 @@ class RootData:
     def support(self, lam: Weight) -> frozenset:
         return frozenset(i + 1 for i, c in enumerate(lam) if c)
 
-    def height(self, lam: Weight) -> Fraction:
-        return sum(lam, Fraction(0))
+    def height(self, lam: Weight):
+        return sum(lam)
 
-    def height_tau(self, lam: Weight, tau) -> Fraction:
+    def height_tau(self, lam: Weight, tau):
         tau = set(tau)
-        return sum((c for i, c in enumerate(lam) if i + 1 in tau), Fraction(0))
+        return sum(c for i, c in enumerate(lam) if i + 1 in tau)
 
     # -- orthogonality ------------------------------------------------------
     def is_strongly_orthogonal(self, beta: Weight, gamma: Weight) -> bool:
@@ -284,15 +288,13 @@ def _root_set(rd: RootData) -> frozenset:
 def _longest_word(rd: RootData, subset: tuple) -> tuple[int, ...]:
     if not subset:
         return ()
-    # descent on rho' = half sum of the subsystem's positive roots
+    # descent on 2 rho', the sum of the subsystem's positive roots
     sub = set(subset)
-    rho = rd.zero()
+    cur = rd.zero()
     for beta in rd.positive_roots:
         if rd.support(beta) <= sub:
-            rho = tuple(a + b for a, b in zip(rho, beta))
-    rho = tuple(c / 2 for c in rho)
+            cur = tuple(a + b for a, b in zip(cur, beta))
     word = []
-    cur = rho
     while True:
         for i in sorted(sub):
             if rd.inner(cur, rd.simple(i)) > 0:

@@ -84,13 +84,10 @@ class Element:
 
     # -- structure readers --------------------------------------------------
     def ad_weight(self, term: Term):
-        u, mu, v = term
-        out = [Fraction(0)] * self.alg.rd.rank
-        for t in u:
-            out[t - 1] -= 1
-        for t in v:
-            out[t - 1] += 1
-        return tuple(out)
+        u, _, v = term
+        ws = self.alg.ws
+        return tuple(b - a for a, b in zip(ws.word_weight(u),
+                                           ws.word_weight(v)))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
@@ -143,7 +140,13 @@ class Algebra:
         return Element(self, {((i,), self.rd.zero(), ()): ONE})
 
     def K(self, mu) -> Element:
-        mu = self.rd.weight(mu)
+        """K_mu for mu in the weight lattice (an int weight always is)."""
+        rd = self.rd
+        mu = rd.weight(mu)
+        if any(isinstance(c, Fraction) for c in mu) and \
+                any(rd.pairing(mu, i).denominator != 1 for i in range(rd.rank)):
+            raise ValueError("K-exponent %s is outside the weight lattice"
+                             % ",".join(str(c) for c in mu))
         return Element(self, {((), mu, ()): ONE})
 
     def Ki(self, i: int, power: int = 1) -> Element:
@@ -175,7 +178,7 @@ class Algebra:
         out = []
         qj = self.q_i(j)
         fac = (qj - qj.inverse()).inverse()
-        prefix_weight = [Fraction(0)] * rd.rank
+        prefix_weight = [0] * rd.rank
         for p, letter in enumerate(v):
             if letter == j:
                 ip = rd.inner(rd.simple(j), tuple(prefix_weight))
@@ -315,7 +318,7 @@ class Algebra:
         for (u, mu, v), c in a.terms.items():
             lam_u = self.ws.word_weight(u)
             lam_v = self.ws.word_weight(v)
-            fac = Fraction(0)
+            fac = 0
             for s in range(1, len(u)):
                 for t in range(s):
                     fac -= 2 * rd.inner(rd.simple(u[t]), rd.simple(u[s]))
@@ -392,9 +395,8 @@ class Algebra:
 
     # -- subspace computations -------------------------------------------------
     def weight_space_elements(self, sign: str, beta) -> list[Element]:
-        beta_i = tuple(int(c) for c in self.rd.weight(beta))
         out = []
-        for w in self.ws.basis_words(beta_i):
+        for w in self.ws.basis_words(self.rd.weight(beta)):
             if sign == "-":
                 out.append(Element(self, {(w, self.rd.zero(), ()): ONE}))
             else:
@@ -437,10 +439,10 @@ class Algebra:
         """A basis of the span of (ad X_w) k_start over words of weight beta,
         X = F (side '-') or E (side '+'), found layer by layer in weight."""
         rd = self.rd
-        target = tuple(int(c) for c in rd.weight(beta))
-        layers = {tuple([0] * rd.rank): [k_start]}
-        order = [tuple([0] * rd.rank)]
-        for _ in range(int(sum(target))):
+        target = rd.weight(beta)
+        layers = {rd.zero(): [k_start]}
+        order = [rd.zero()]
+        for _ in range(sum(target)):
             new_order = []
             for w in order:
                 for i in range(1, rd.rank + 1):
@@ -481,7 +483,7 @@ class Algebra:
         if len(set(ws)) != 1:
             raise ValueError("ad-submodule membership needs a weight vector")
         beta = ws[0] if sign == "+" else tuple(-c for c in ws[0])
-        if any(c < 0 or c.denominator != 1 for c in beta):
+        if any(c < 0 for c in beta):
             raise ValueError("weight outside the positive cone")
         nu = rd.fundamental_weights[nu_index - 1]
         shift = tuple(b - 2 * c for b, c in zip(beta, nu))
@@ -496,10 +498,7 @@ class Algebra:
         u, mu, v = term
         parts = [" ".join("F%d" % t for t in u)]
         if any(mu):
-            if all(c.denominator == 1 for c in mu):
-                parts.append("K[%s]" % ",".join(str(int(c)) for c in mu))
-            else:
-                parts.append("K[%s]" % ",".join(str(c) for c in mu))
+            parts.append("K[%s]" % ",".join(str(c) for c in mu))
         parts.append(" ".join("E%d" % t for t in v))
         s = " ".join(p for p in parts if p)
         return s if s else "1"
@@ -546,7 +545,7 @@ class Algebra:
                 if any(x.denominator != 1 for x in mu):
                     raise ValueError("integral form needs root-lattice "
                                      "K-exponents")
-                torus[tuple(int(x) for x in mu)] = c
+                torus[self.rd.weight(mu)] = c
         if not torus:
             return True
         n = self.rd.rank

@@ -15,8 +15,6 @@ lex-least spanning words, giving one canonical choice per weight space.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import Echelon, vec_add, vec_scale
 from .qfield import ONE, q_power
 from .rootsys import RootData, kostant_partition_count
@@ -48,7 +46,6 @@ class WeightSpaces:
 
     # -- space construction ----------------------------------------------
     def space(self, weight: tuple) -> _Space:
-        weight = tuple(int(c) for c in weight)
         got = self._spaces.get(weight)
         if got is None:
             got = self._build(weight)
@@ -56,10 +53,10 @@ class WeightSpaces:
         return got
 
     def dimension(self, weight: tuple) -> int:
-        return len(self.space(tuple(int(c) for c in weight)).basis)
+        return len(self.space(weight).basis)
 
     def basis_words(self, weight: tuple) -> tuple:
-        return self.space(tuple(int(c) for c in weight)).basis
+        return self.space(weight).basis
 
     def _build(self, weight: tuple) -> _Space:
         rd = self.rd
@@ -133,8 +130,7 @@ class WeightSpaces:
                 coords[key] = dict(combo or {})
         sp = _Space(tuple(basis), coords, ab_new)
 
-        expected = kostant_partition_count(
-            rd, tuple(Fraction(c) for c in weight))
+        expected = kostant_partition_count(rd, weight)
         if len(basis) != expected:
             raise AssertionError(
                 "weight space dimension %d != Kostant count %d at %r"
@@ -152,10 +148,7 @@ class WeightSpaces:
             return got
         i = word[0]
         rest = self.reduce_word(word[1:])
-        weight = [0] * self.rd.rank
-        for t in word:
-            weight[t - 1] += 1
-        sp = self.space(tuple(weight))
+        sp = self.space(self.word_weight(word))
         out: dict = {}
         for b, c in rest.items():
             out = vec_add(out, vec_scale(sp.coords[(i, b)], c))
@@ -163,7 +156,7 @@ class WeightSpaces:
         return out
 
     def word_weight(self, word: tuple) -> tuple:
-        weight = [Fraction(0)] * self.rd.rank
+        weight = [0] * self.rd.rank
         for t in word:
             weight[t - 1] += 1
         return tuple(weight)

@@ -1,8 +1,4 @@
-import sys
-
 import pytest
-
-sys.setrecursionlimit(100000)
 
 from qcartan.coideal import CoidealParams
 from qcartan.involutions import build_involution

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,27 @@ def test_verify_command(capsys):
 
 def test_verify_command_even_rank(capsys):
     rc, _ = run(["verify", "all", "--pair", "AIII", "--n", "4"], capsys)
+    assert rc == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "suite", "--pair", "BI", "--n", "3", "--r", "1"],
+    ["verify", "suite", "--pair", "AIII", "--n", "4", "--r", "1"],
+    ["verify", "all", "--pair", "AI", "--n", "3"],
+])
+def test_verify_suite_outside_family_exit_code(capsys, args):
+    # the Cartan suite is defined only for AIII/AIV with pi_theta empty;
+    # other pairs are refused before any section runs
+    start = time.perf_counter()
+    assert main(args) == 2
+    assert time.perf_counter() - start < 1.0
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert "pi_theta empty" in got.err
+
+
+def test_verify_suite_aiv(capsys):
+    rc, _ = run(["verify", "suite", "--pair", "AIV", "--n", "2"], capsys)
     assert rc == 0
 
 

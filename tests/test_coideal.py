@@ -291,12 +291,19 @@ def test_cartan_element_n3_matches_worked_example():
 
 def test_cartan_reports_other_families():
     for label, n, r in [("BI", 2, 1), ("BI", 3, 2), ("CI", 2, None),
-                        ("CII-1", 3, 2), ("AI", 2, None)]:
+                        ("CII-1", 3, 2), ("AI", 2, None), ("AI", 4, None),
+                        ("G", None, None)]:
         par = shared_params(label, n, r)
         ts = gamma_theta(label, n, r)
+        hs = []
         for j in range(1, len(ts.entries) + 1):
             rep = cartan_element(par, ts, j)
             assert rep.ok(), (label, n, r, j, rep.checks)
+            hs.append(rep.H)
+        for a in range(len(hs)):
+            for b in range(a + 1, len(hs)):
+                assert (hs[a] * hs[b] - hs[b] * hs[a]).is_zero(), \
+                    (label, n, r, a + 1, b + 1)
 
 
 def test_specialization_failure_keeps_reason():

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from qcartan.involutions import (GammaEntry, ThetaSystem, build_involution,
                                  classify_case, classical_cartan_symbolic,
                                  delta_theta, format_symbolic_basis,
-                                 gamma_theta, verify_theta_system)
+                                 gamma_theta, max_strongly_orthogonal,
+                                 verify_theta_system)
 
 ALL_CASES = []
 for n in range(1, 9):
@@ -166,8 +169,30 @@ def test_symbolic_basis():
     assert basis[:3] == [("h", {1: 1}), ("h", {2: 1}), ("h", {3: 1})]
 
 
+# rank of the fixed subalgebra k of each exceptional real form (Helgason,
+# Table V); it equals dim h^theta plus the maximum strongly orthogonal size
+EXCEPTIONAL_RANK_K = {"EI": 4, "EII": 6, "EIII": 6, "EIV": 4, "EV": 7,
+                      "EVI": 7, "EVII": 7, "EVIII": 8, "EIX": 8, "FI": 4,
+                      "FII": 4, "G": 2}
+
+
 def test_rank_data_consistency():
     for label, n, r in ALL_CASES:
         ts = gamma_theta(label, n, r)
         inv = ts.involution
-        assert inv.rank_fixed == inv.dim_h_theta() + len(ts.entries)
+        rd = inv.rd
+        top = max_strongly_orthogonal(inv)
+        assert len(ts.entries) == top, (label, n, r)
+        if label in EXCEPTIONAL_RANK_K:
+            assert inv.dim_h_theta() + top == EXCEPTIONAL_RANK_K[label]
+        if rd.rank <= 4:
+            # brute force over subsets of Delta_theta
+            def orthogonal(roots):
+                return all(rd.is_strongly_orthogonal(a, b)
+                           for a, b in itertools.combinations(roots, 2))
+            delta = delta_theta(inv)
+            assert any(map(orthogonal, itertools.combinations(delta, top)))
+            assert not any(map(orthogonal,
+                               itertools.combinations(delta, top + 1)))
+    assert len(gamma_theta("EII").entries) == 4
+    assert len(gamma_theta("EVI").entries) == 4

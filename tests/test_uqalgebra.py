@@ -292,3 +292,33 @@ def test_serialization(a2):
            tuple(Fraction(s) for s in t["k"]),
            tuple(t["e"])), QRat.from_json(t["c"])) for t in terms])
     assert rebuilt == x
+
+
+@pytest.mark.parametrize("family, rank", [
+    ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("E", 6), ("F", 4), ("G", 2)])
+def test_root_lattice_weights_are_int_tuples(family, rank):
+    alg = shared_algebra(family, rank)
+    rd = alg.rd
+
+    def ints(w):
+        return type(w) is tuple and all(type(c) is int for c in w)
+
+    assert all(ints(beta) for beta in rd.positive_roots)
+    assert all(ints(rd.simple(i)) for i in range(1, rank + 1))
+    assert ints(rd.zero())
+    assert ints(alg.ws.word_weight((1, 2, 1, rank)))
+    x = alg.F(2) * alg.E(1) * alg.E(rank) + alg.F(1) * alg.F(2)
+    assert all(ints(x.ad_weight(t)) for t in x.terms)
+    # weight() keeps a Fraction only for a coordinate off the integers
+    assert ints(rd.weight([Fraction(2)] + [0] * (rank - 1)))
+    assert type(rd.weight([Fraction(1, 2)] + [0] * (rank - 1))[0]) is Fraction
+
+
+def test_k_exponent_outside_weight_lattice_raises(a2):
+    half = (Fraction(1, 2), 0)
+    with pytest.raises(ValueError, match="outside the weight lattice"):
+        a2.K(half) * a2.E(2)
+    with pytest.raises(ValueError, match="outside the weight lattice"):
+        a2.E(2) * a2.K(half)
+    x = a2.E(1) * a2.K((Fraction(2, 3), Fraction(1, 3)))
+    assert a2.render(x) == "q^-1 K[2/3,1/3] E1"
