@@ -176,6 +176,11 @@ EXCEPTIONAL_RANK_K = {"EI": 4, "EII": 6, "EIII": 6, "EIV": 4, "EV": 7,
                       "FII": 4, "G": 2}
 
 
+def _strongly_orthogonal_set(rd, roots):
+    return all(rd.is_strongly_orthogonal(a, b)
+               for a, b in itertools.combinations(roots, 2))
+
+
 def test_rank_data_consistency():
     for label, n, r in ALL_CASES:
         ts = gamma_theta(label, n, r)
@@ -187,12 +192,10 @@ def test_rank_data_consistency():
             assert inv.dim_h_theta() + top == EXCEPTIONAL_RANK_K[label]
         if rd.rank <= 4:
             # brute force over subsets of Delta_theta
-            def orthogonal(roots):
-                return all(rd.is_strongly_orthogonal(a, b)
-                           for a, b in itertools.combinations(roots, 2))
             delta = delta_theta(inv)
-            assert any(map(orthogonal, itertools.combinations(delta, top)))
-            assert not any(map(orthogonal,
-                               itertools.combinations(delta, top + 1)))
+            assert any(_strongly_orthogonal_set(rd, s)
+                       for s in itertools.combinations(delta, top))
+            assert not any(_strongly_orthogonal_set(rd, s)
+                           for s in itertools.combinations(delta, top + 1))
     assert len(gamma_theta("EII").entries) == 4
     assert len(gamma_theta("EVI").entries) == 4
