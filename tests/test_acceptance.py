@@ -4,6 +4,7 @@ import random
 
 import pytest
 from conftest import shared_algebra, shared_params
+from pair_cases import ALL_CASES
 
 from qcartan.classical import verify_classical_cartan
 from qcartan.coideal import cartan_element, q_comm, verify_cartan_suite
@@ -102,39 +103,12 @@ def test_criterion_04_h_prime_commutativity(n):
 
 
 def test_criterion_05_theta_system_tables():
-    cases = []
-    for n in range(1, 9):
-        cases.append(("AI", n, None))
-    for n in (3, 5, 7):
-        cases.append(("AII", n, None))
-    for n in range(2, 9):
-        for r in range(1, (n + 1) // 2 + 1):
-            cases.append(("AIII", n, r))
-        for r in range(1, n + 1):
-            cases.append(("BI", n, r))
-        cases.append(("CI", n, None))
-    for n in range(3, 9):
-        for r in range(2, n, 2):
-            cases.append(("CII-1", n, r))
-    for n in (4, 6, 8):
-        cases.append(("CII-2", n, None))
-        cases.append(("DIII-1", n, None))
-    for n in range(4, 9):
-        for r in range(1, n - 1):
-            cases.append(("DI-1", n, r))
-        cases.append(("DI-2", n, None))
-        cases.append(("DI-3", n, None))
-    for n in (5, 7):
-        cases.append(("DIII-2", n, None))
-    for label in ("EI", "EII", "EIII", "EIV", "EV", "EVI", "EVII",
-                  "EVIII", "EIX", "FI", "FII", "G"):
-        cases.append((label, None, None))
     ok = True
-    for label, n, r in cases:
+    for label, n, r in ALL_CASES:
         rep = verify_theta_system(gamma_theta(label, n, r))
         if not all(rep.values()):
             ok = False
-    report("5 structure tables (%d pairs)" % len(cases), ok)
+    report("5 structure tables (%d pairs)" % len(ALL_CASES), ok)
 
 
 def test_criterion_06_classical_cartans():

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 
 import pytest
 
@@ -8,36 +10,11 @@ from qcartan.involutions import (GammaEntry, ThetaSystem, build_involution,
                                  gamma_theta, max_strongly_orthogonal,
                                  verify_theta_system)
 
-ALL_CASES = []
-for n in range(1, 9):
-    ALL_CASES.append(("AI", n, None))
-for n in (3, 5, 7):
-    ALL_CASES.append(("AII", n, None))
-for n in range(2, 9):
-    for r in range(1, (n + 1) // 2 + 1):
-        ALL_CASES.append(("AIII", n, r))
-for n in range(2, 9):
-    for r in range(1, n + 1):
-        ALL_CASES.append(("BI", n, r))
-for n in range(2, 9):
-    ALL_CASES.append(("CI", n, None))
-for n in range(3, 9):
-    for r in range(2, n, 2):
-        ALL_CASES.append(("CII-1", n, r))
-for n in (4, 6, 8):
-    ALL_CASES.append(("CII-2", n, None))
-for n in range(4, 9):
-    for r in range(1, n - 1):
-        ALL_CASES.append(("DI-1", n, r))
-    ALL_CASES.append(("DI-2", n, None))
-    ALL_CASES.append(("DI-3", n, None))
-for n in (4, 6, 8):
-    ALL_CASES.append(("DIII-1", n, None))
-for n in (5, 7):
-    ALL_CASES.append(("DIII-2", n, None))
-for label in ("EI", "EII", "EIII", "EIV", "EV", "EVI", "EVII", "EVIII",
-              "EIX", "FI", "FII", "G"):
-    ALL_CASES.append((label, None, None))
+from pair_cases import ALL_CASES
+
+PINNED = {(row["pair"], row["n"], row["r"]): row for row in json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "pair_tables.json")
+    .read_text())}
 
 
 def test_aiii_images():
@@ -115,6 +92,20 @@ def test_aliases():
     assert gamma_theta("AIV", 5).entries == gamma_theta("AIII", 5, 1).entries
     assert gamma_theta("BII", 3).entries == gamma_theta("BI", 3, 1).entries
     assert gamma_theta("DII", 5).entries == gamma_theta("DI-1", 5, 1).entries
+
+
+@pytest.mark.parametrize("label,n,r", ALL_CASES)
+def test_matches_pinned_tables(label, n, r):
+    ts = gamma_theta(label, n, r)
+    inv, row = ts.involution, PINNED[label, n, r]
+    assert [list(w) for w in inv.images] == row["images"]
+    assert sorted(inv.pi_theta) == row["pi_theta"]
+    assert list(inv.p) == row["p"]
+    assert [sorted(span.items()) for span in inv.h_theta] == \
+        [[tuple(t) for t in span] for span in row["h_theta"]]
+    assert sorted(inv.s_subset) == row["s_subset"]
+    assert [[list(e.beta), e.alpha_beta, e.alpha_beta_prime, e.case]
+            for e in ts.entries] == row["gamma"]
 
 
 @pytest.mark.parametrize("label,n,r", ALL_CASES)
