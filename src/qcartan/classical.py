@@ -166,7 +166,8 @@ def classical_nested(family: str, rank: int, word) -> Matrix:
 # theta on type-A matrices
 
 def _theta_matrix_map(ts: ThetaSystem):
-    """The involution realized on sl(n+1) for AI / AII / AIII pairs."""
+    """The involution realized on sl(n+1) for AI and AIII pairs (AIV
+    included, as AIII with r = 1); None for every other pair."""
     inv = ts.involution
     fam, n = inv.rd.family, inv.rd.rank
     if fam != "A":

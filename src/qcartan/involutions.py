@@ -1,10 +1,14 @@
 """Maximally split involutions and their strongly orthogonal systems.
 
-Each irreducible symmetric pair is encoded as data: the action of theta on
-the simple roots, the fixed subset pi_theta, the diagram permutation p, a
-maximum strongly orthogonal theta-system with distinguished simple roots and
-case tags, and the spanning set of the fixed Cartan part.  Verification of
-all structural conditions is algorithmic and lives in verify_theta_system.
+Each irreducible symmetric pair is entered as its Satake data only: the
+family, the admissible rank and r, the fixed subset pi_theta, whether the
+diagram permutation p is the diagram flip, and the s-subset.  The rest is
+derived when a pair is built: theta on the simple roots, the spanning set of
+the fixed Cartan part, and a maximum strongly orthogonal theta-system by
+Kostant and Sugiura's cascade, with its distinguished simple roots and the
+case each shape equation assigns.  A short override list keeps the tables'
+choice where it differs from the cascade.  Verification of all structural
+conditions is algorithmic and lives in verify_theta_system.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ class GammaEntry:
     beta: Weight
     alpha_beta: int
     alpha_beta_prime: int
-    case: int
+    case: int               # 1-5; 0 when no shape equation holds
 
 
 @dataclass(frozen=True)
@@ -100,482 +104,203 @@ def _coroot_combo_weight(rd: RootData, span: dict) -> Weight:
 
 
 # ---------------------------------------------------------------------------
-# the encoded pair tables
+# Satake data: the only hand-entered description of a pair
 
-def _chain(rd, one_at, two_from, two_to, tail=()):
-    c = [0] * rd.rank
-    c[one_at - 1] = 1
-    for k in range(two_from, two_to + 1):
-        c[k - 1] = 2
-    for k in tail:
-        c[k - 1] += 1
-    return rd.weight(c)
+def _odd(hi):
+    return range(1, hi + 1, 2)
 
 
-def _neg(rd, coords):
-    return tuple(-c for c in rd.weight(coords))
+def _none(n, r):
+    return ()
 
 
-def _sumroots(rd, idxs):
-    c = [0] * rd.rank
-    for k in idxs:
-        c[k - 1] += 1
-    return rd.weight(c)
+# label: (family, admissible n, admissible r or None, pi_theta, p is the
+# diagram flip, s-subset), for the classical labels (Araki 1962; Helgason,
+# ch. X, Table VI).  The s-subset is entered, not derived: a Letzter-type
+# parity rule misses AI(1), BI(2,2), DIII-1 and EVII.
+_CLASSICAL = {
+    "AI": ("A", lambda n: n >= 1, None, _none, False, _none),
+    "AII": ("A", lambda n: n >= 3 and n % 2, None,
+            lambda n, r: _odd(n), False, _none),
+    "AIII": ("A", lambda n: n >= 1, lambda n: range(1, (n + 1) // 2 + 1),
+             lambda n, r: range(r + 1, n - r + 1), True,
+             lambda n, r: (r,) if 2 * r == n + 1 else ()),
+    "BI": ("B", lambda n: n >= 2, lambda n: range(1, n + 1),
+           lambda n, r: range(r + 1, n + 1), False, _none),
+    "CI": ("C", lambda n: n >= 2, None, _none, False, lambda n, r: (n,)),
+    "CII-1": ("C", lambda n: n >= 3, lambda n: range(2, n, 2),
+              lambda n, r: (*_odd(r - 1), *range(r + 1, n + 1)), False,
+              _none),
+    "CII-2": ("C", lambda n: n >= 4 and n % 2 == 0, None,
+              lambda n, r: _odd(n - 1), False, _none),
+    "DI-1": ("D", lambda n: n >= 4, lambda n: range(1, n - 1),
+             lambda n, r: range(r + 1, n + 1), False, _none),
+    "DI-2": ("D", lambda n: n >= 4, None, _none, True, _none),
+    "DI-3": ("D", lambda n: n >= 4, None, _none, False, _none),
+    "DIII-1": ("D", lambda n: n >= 4 and n % 2 == 0, None,
+               lambda n, r: _odd(n - 1), False, lambda n, r: (n,)),
+    "DIII-2": ("D", lambda n: n >= 5 and n % 2, None,
+               lambda n, r: _odd(n - 2), True, _none),
+}
+
+# label: (family, rank, pi_theta, p is the diagram flip, s-subset)
+_EXCEPTIONAL = {
+    "EI": ("E", 6, (), False, ()),
+    "EII": ("E", 6, (), True, ()),
+    "EIII": ("E", 6, (3, 4, 5), True, ()),
+    "EIV": ("E", 6, (2, 3, 4, 5), False, ()),
+    "EV": ("E", 7, (), False, ()),
+    "EVI": ("E", 7, (2, 5, 7), False, ()),
+    "EVII": ("E", 7, (2, 3, 4, 5), False, (7,)),
+    "EVIII": ("E", 8, (), False, ()),
+    "EIX": ("E", 8, (2, 3, 4, 5), False, ()),
+    "FI": ("F", 4, (), False, ()),
+    "FII": ("F", 4, (1, 2, 3), False, ()),
+    "G": ("G", 2, (), False, ()),
+}
+
+# the rank-one-r members of a family under their own names
+_ALIASES = {"AIV": "AIII", "BII": "BI", "DII": "DI-1"}
+
+PAIR_LABELS = (*_CLASSICAL, *_ALIASES, *_EXCEPTIONAL)
 
 
-def _pair_table(pair: str, n: int | None, r: int | None):
-    """Return (family, rank, images, pi_theta, p, gamma, h_theta, S)."""
-    if pair in ("AIV",):
-        pair, r = "AIII", 1
-    if pair == "BII":
-        pair, r = "BI", 1
-    if pair == "DII":
-        pair, r = "DI-1", 1
-
-    if pair == "AI":
-        if n is None or n < 1:
-            raise ValueError("AI requires rank n >= 1")
-        rd = build_root_data("A", n)
-        images = [_neg(rd, rd.simple(i)) for i in range(1, n + 1)]
-        gamma = [GammaEntry(rd.simple(2 * j - 1), 2 * j - 1, 2 * j - 1, 1)
-                 for j in range(1, (n + 1) // 2 + 1)]
-        return rd, images, frozenset(), tuple(range(1, n + 1)), gamma, (), frozenset()
-
-    if pair == "AII":
-        if n is None or n < 3 or n % 2 == 0:
-            raise ValueError("AII requires odd rank n >= 3")
-        rd = build_root_data("A", n)
-        images = []
-        for i in range(1, n + 1):
-            if i % 2 == 1:
-                images.append(rd.simple(i))
-            else:
-                images.append(_neg(rd, _sumroots(rd, (i - 1, i, i + 1))))
-        h = tuple({i: 1} for i in range(1, n + 1, 2))
-        return (rd, images, frozenset(range(1, n + 1, 2)),
-                tuple(range(1, n + 1)), [], h, frozenset())
-
-    if pair == "AIII":
-        if n is None or r is None or not 1 <= r <= (n + 1) // 2:
-            raise ValueError("AIII requires 1 <= r <= (n+1)/2")
-        rd = build_root_data("A", n)
-        p = tuple(n - i + 1 for i in range(1, n + 1))
-        images = []
-        for i in range(1, n + 1):
-            if r + 1 <= i <= n - r:
-                images.append(rd.simple(i))
-            elif i == r:
-                images.append(_neg(rd, _sumroots(rd, range(r + 1, n - r + 2))
-                                   if r < n - r + 1 else rd.simple(r)))
-            elif i == n - r + 1 and i != r:
-                images.append(_neg(rd, _sumroots(rd, range(r, n - r + 1))))
-            else:
-                images.append(_neg(rd, rd.simple(n - i + 1)))
-        gamma = []
-        for j in range(1, r + 1):
-            beta = _sumroots(rd, range(j, n - j + 2))
-            if j == n - j + 1:
-                gamma.append(GammaEntry(beta, j, j, 1))
-            else:
-                gamma.append(GammaEntry(beta, j, n - j + 1, 3))
-        h = tuple({j: 1} for j in range(r + 1, n - r + 1)) + \
-            tuple({i: 1, n - i + 1: -1} for i in range(1, r + 1)
-                  if i != n - i + 1)
-        s_set = frozenset({r}) if n % 2 == 1 and r == (n + 1) // 2 else frozenset()
-        return rd, images, frozenset(range(r + 1, n - r + 1)), p, gamma, h, s_set
-
-    if pair == "BI":
-        if n is None or r is None or not 1 <= r <= n or n < 2:
-            raise ValueError("BI requires 1 <= r <= n, n >= 2")
-        rd = build_root_data("B", n)
-        images = []
-        for i in range(1, n + 1):
-            if i >= r + 1:
-                images.append(rd.simple(i))
-            elif i <= r - 1 or r == n:
-                images.append(_neg(rd, rd.simple(i)))
-            else:
-                images.append(_neg(rd, _chain(rd, r, r + 1, n)))
-        gamma = []
-        half = (r - 1) // 2 if r % 2 else r // 2
-        for j in range(1, half + 1):
-            gamma.append(GammaEntry(_chain(rd, 2 * j - 1, 2 * j, n),
-                                    2 * j, 2 * j, 2))
-            gamma.append(GammaEntry(rd.simple(2 * j - 1),
-                                    2 * j - 1, 2 * j - 1, 1))
-        if r % 2 == 1:
-            beta = _sumroots(rd, range(r, n + 1))
-            if r == n:
-                gamma.append(GammaEntry(beta, n, n, 1))
-            else:
-                gamma.append(GammaEntry(beta, r, n, 4))
-        h = tuple({i: 1} for i in range(r + 1, n + 1))
-        return rd, images, frozenset(range(r + 1, n + 1)), \
-            tuple(range(1, n + 1)), gamma, h, frozenset()
-
-    if pair == "CI":
-        if n is None or n < 2:
-            raise ValueError("CI requires rank n >= 2")
-        rd = build_root_data("C", n)
-        images = [_neg(rd, rd.simple(i)) for i in range(1, n + 1)]
-        gamma = [GammaEntry(_chain(rd, n, j, n - 1), j, j, 2)
-                 for j in range(1, n)]
-        gamma.append(GammaEntry(rd.simple(n), n, n, 1))
-        return (rd, images, frozenset(), tuple(range(1, n + 1)), gamma, (),
-                frozenset({n}))
-
-    if pair == "CII-1":
-        if n is None or r is None or not (2 <= r <= n - 1 and r % 2 == 0):
-            raise ValueError("CII-1 requires even r with 2 <= r <= n-1")
-        rd = build_root_data("C", n)
-        pith = frozenset(list(range(1, r, 2)) + list(range(r + 1, n + 1)))
-        images = []
-        for i in range(1, n + 1):
-            if i in pith:
-                images.append(rd.simple(i))
-            elif i < r:
-                images.append(_neg(rd, _sumroots(rd, (i - 1, i, i + 1))))
-            else:
-                images.append(_neg(rd, _chain(rd, r, r + 1, n - 1,
-                                              tail=(r - 1, n))))
-        gamma = [GammaEntry(_chain(rd, 2 * j - 1, 2 * j, n - 1, tail=(n,)),
-                            2 * j, 2 * j - 1, 5)
-                 for j in range(1, r // 2 + 1)]
-        h = tuple({i: 1} for i in range(1, r, 2)) + \
-            tuple({i: 1} for i in range(r + 1, n + 1))
-        return rd, images, pith, tuple(range(1, n + 1)), gamma, h, frozenset()
-
-    if pair == "CII-2":
-        if n is None or n < 4 or n % 2:
-            raise ValueError("CII-2 requires even rank n >= 4")
-        rd = build_root_data("C", n)
-        pith = frozenset(range(1, n, 2))
-        images = []
-        for i in range(1, n + 1):
-            if i in pith:
-                images.append(rd.simple(i))
-            elif i < n:
-                images.append(_neg(rd, _sumroots(rd, (i - 1, i, i + 1))))
-            else:
-                images.append(_neg(rd, _sumroots(rd, (n - 1, n - 1, n))))
-        t = n // 2
-        gamma = [GammaEntry(_chain(rd, 2 * j - 1, 2 * j, n - 1, tail=(n,)),
-                            2 * j, 2 * j - 1, 5)
-                 for j in range(1, t)]
-        gamma.append(GammaEntry(_sumroots(rd, (n - 1, n)), n, n - 1, 4))
-        h = tuple({i: 1} for i in range(1, n, 2))
-        return rd, images, pith, tuple(range(1, n + 1)), gamma, h, frozenset()
-
-    if pair == "DI-1":
-        if n is None or r is None or not 1 <= r <= n - 2 or n < 4:
-            raise ValueError("DI-1 requires 1 <= r <= n-2, n >= 4")
-        rd = build_root_data("D", n)
-        images = []
-        for i in range(1, n + 1):
-            if i >= r + 1:
-                images.append(rd.simple(i))
-            elif i <= r - 1:
-                images.append(_neg(rd, rd.simple(i)))
-            else:
-                images.append(_neg(rd, _chain(rd, r, r + 1, n - 2,
-                                              tail=(n - 1, n))))
-        gamma = []
-        if r % 2 == 1:
-            for j in range(1, (r - 1) // 2 + 1):
-                gamma.append(GammaEntry(
-                    _chain(rd, 2 * j, 2 * j + 1, n - 2, tail=(n - 1, n)),
-                    2 * j + 1, 2 * j + 1, 2))
-                gamma.append(GammaEntry(rd.simple(2 * j), 2 * j, 2 * j, 1))
-        else:
-            for j in range(1, r // 2 + 1):
-                gamma.append(GammaEntry(
-                    _chain(rd, 2 * j - 1, 2 * j, n - 2, tail=(n - 1, n)),
-                    2 * j, 2 * j, 2))
-                gamma.append(GammaEntry(rd.simple(2 * j - 1),
-                                        2 * j - 1, 2 * j - 1, 1))
-        h = tuple({i: 1} for i in range(r + 1, n + 1))
-        return rd, images, frozenset(range(r + 1, n + 1)), \
-            tuple(range(1, n + 1)), gamma, h, frozenset()
-
-    if pair == "DI-2":
-        if n is None or n < 4:
-            raise ValueError("DI-2 requires rank n >= 4")
-        rd = build_root_data("D", n)
-        p = list(range(1, n + 1))
-        p[n - 2], p[n - 1] = n, n - 1
-        images = [_neg(rd, rd.simple(p[i - 1])) for i in range(1, n + 1)]
-        gamma = []
-        if n % 2 == 1:
-            t = (n - 1) // 2
-            for j in range(1, t + 1):
-                start = 2 * j - 1
-                beta = _chain(rd, start, start + 1, n - 2, tail=(n - 1, n))
-                if j < t:
-                    gamma.append(GammaEntry(beta, 2 * j, 2 * j, 2))
-                else:
-                    gamma.append(GammaEntry(beta, n - 1, n, 3))
-                gamma.append(GammaEntry(rd.simple(2 * j - 1),
-                                        2 * j - 1, 2 * j - 1, 1))
-        else:
-            t = (n - 2) // 2
-            for j in range(1, t + 1):
-                start = 2 * j
-                beta = _chain(rd, start, start + 1, n - 2, tail=(n - 1, n))
-                if j < t:
-                    gamma.append(GammaEntry(beta, 2 * j + 1, 2 * j + 1, 2))
-                else:
-                    gamma.append(GammaEntry(beta, n - 1, n, 3))
-                gamma.append(GammaEntry(rd.simple(2 * j), 2 * j, 2 * j, 1))
-        h = ({n - 1: 1, n: -1},)
-        return rd, images, frozenset(), tuple(p), gamma, h, frozenset()
-
-    if pair == "DI-3":
-        if n is None or n < 4:
-            raise ValueError("DI-3 requires rank n >= 4")
-        rd = build_root_data("D", n)
-        images = [_neg(rd, rd.simple(i)) for i in range(1, n + 1)]
-        gamma = []
-        if n % 2 == 1:
-            t = (n - 1) // 2
-            for j in range(1, t):
-                gamma.append(GammaEntry(
-                    _chain(rd, 2 * j, 2 * j + 1, n - 2, tail=(n - 1, n)),
-                    2 * j + 1, 2 * j + 1, 2))
-                gamma.append(GammaEntry(rd.simple(2 * j), 2 * j, 2 * j, 1))
-            gamma.append(GammaEntry(rd.simple(n), n, n, 1))
-            gamma.append(GammaEntry(rd.simple(n - 1), n - 1, n - 1, 1))
-        else:
-            t = n // 2
-            for j in range(1, t):
-                gamma.append(GammaEntry(
-                    _chain(rd, 2 * j - 1, 2 * j, n - 2, tail=(n - 1, n)),
-                    2 * j, 2 * j, 2))
-                gamma.append(GammaEntry(rd.simple(2 * j - 1),
-                                        2 * j - 1, 2 * j - 1, 1))
-            gamma.append(GammaEntry(rd.simple(n - 1), n - 1, n - 1, 1))
-            gamma.append(GammaEntry(rd.simple(n), n, n, 1))
-        return (rd, images, frozenset(), tuple(range(1, n + 1)), gamma, (),
-                frozenset())
-
-    if pair == "DIII-1":
-        if n is None or n < 4 or n % 2:
-            raise ValueError("DIII-1 requires even rank n >= 4")
-        rd = build_root_data("D", n)
-        pith = frozenset(range(1, n, 2))
-        images = []
-        for i in range(1, n + 1):
-            if i in pith:
-                images.append(rd.simple(i))
-            elif i < n:
-                images.append(_neg(rd, _sumroots(rd, (i - 1, i, i + 1))))
-            else:
-                images.append(_neg(rd, rd.simple(n)))
-        gamma = [GammaEntry(_chain(rd, 2 * j - 1, 2 * j, n - 2,
-                                   tail=(n - 1, n)), 2 * j, 2 * j, 2)
-                 for j in range(1, n // 2)]
-        gamma.append(GammaEntry(rd.simple(n), n, n, 1))
-        h = tuple({i: 1} for i in range(1, n, 2))
-        return rd, images, pith, tuple(range(1, n + 1)), gamma, h, \
-            frozenset({n})
-
-    if pair == "DIII-2":
-        if n is None or n < 5 or n % 2 == 0:
-            raise ValueError("DIII-2 requires odd rank n >= 5")
-        rd = build_root_data("D", n)
-        pith = frozenset(range(1, n - 1, 2))
-        p = list(range(1, n + 1))
-        p[n - 2], p[n - 1] = n, n - 1
-        images = []
-        for i in range(1, n + 1):
-            if i in pith:
-                images.append(rd.simple(i))
-            elif i <= n - 3:
-                images.append(_neg(rd, _sumroots(rd, (i - 1, i, i + 1))))
-            elif i == n - 1:
-                images.append(_neg(rd, _sumroots(rd, (n - 2, n))))
-            else:
-                images.append(_neg(rd, _sumroots(rd, (n - 2, n - 1))))
-        t = (n - 1) // 2
-        gamma = [GammaEntry(_chain(rd, 2 * j - 1, 2 * j, n - 2,
-                                   tail=(n - 1, n)), 2 * j, 2 * j, 2)
-                 for j in range(1, t)]
-        gamma.append(GammaEntry(_sumroots(rd, (n - 2, n - 1, n)),
-                                n - 1, n, 3))
-        h = tuple({i: 1} for i in range(1, n - 1, 2)) + ({n - 1: 1, n: -1},)
-        return rd, images, pith, tuple(p), gamma, h, frozenset()
-
-    if pair in ("EI", "EV", "EVIII"):
-        rank = {"EI": 6, "EV": 7, "EVIII": 8}[pair]
-        rd = build_root_data("E", rank)
-        images = [_neg(rd, rd.simple(i)) for i in range(1, rank + 1)]
-        g8 = [
-            ((2, 3, 4, 6, 5, 4, 3, 2), 8, 2),
-            ((2, 2, 3, 4, 3, 2, 1, 0), 1, 2),
-            ((0, 1, 1, 2, 2, 2, 1, 0), 6, 2),
-            ((0, 0, 0, 0, 0, 0, 1, 0), 7, 1),
-            ((0, 1, 1, 2, 1, 0, 0, 0), 4, 2),
-            ((0, 0, 0, 0, 1, 0, 0, 0), 5, 1),
-            ((0, 0, 1, 0, 0, 0, 0, 0), 3, 1),
-            ((0, 1, 0, 0, 0, 0, 0, 0), 2, 1),
-        ]
-        start = {"EVIII": 0, "EV": 1, "EI": 4}[pair]
-        gamma = []
-        for coords, ab, case in g8[start:]:
-            beta = rd.weight(coords[:rank])
-            gamma.append(GammaEntry(beta, ab, ab, case))
-        return (rd, images, frozenset(), tuple(range(1, rank + 1)), gamma,
-                (), frozenset())
-
-    if pair == "EII":
-        rd = build_root_data("E", 6)
-        p = (6, 2, 5, 4, 3, 1)
-        images = [_neg(rd, rd.simple(p[i - 1])) for i in range(1, 7)]
-        gamma = [
-            GammaEntry(rd.weight((1, 2, 2, 3, 2, 1)), 2, 2, 2),
-            GammaEntry(rd.weight((1, 0, 1, 1, 1, 1)), 1, 6, 3),
-            GammaEntry(rd.weight((0, 0, 1, 1, 1, 0)), 3, 5, 3),
-            GammaEntry(rd.simple(4), 4, 4, 1),
-        ]
-        h = ({1: 1, 6: -1}, {3: 1, 5: -1})
-        return rd, images, frozenset(), p, gamma, h, frozenset()
-
-    if pair == "EIII":
-        rd = build_root_data("E", 6)
-        p = (6, 2, 5, 4, 3, 1)
-        images = [
-            _neg(rd, rd.weight((0, 0, 1, 1, 1, 1))),
-            _neg(rd, rd.weight((0, 1, 1, 2, 1, 0))),
-            rd.simple(3), rd.simple(4), rd.simple(5),
-            _neg(rd, rd.weight((1, 0, 1, 1, 1, 0))),
-        ]
-        gamma = [
-            GammaEntry(rd.weight((1, 2, 2, 3, 2, 1)), 2, 2, 2),
-            GammaEntry(rd.weight((1, 0, 1, 1, 1, 1)), 1, 6, 3),
-        ]
-        h = ({3: 1}, {4: 1}, {5: 1}, {1: 1, 6: -1})
-        return rd, images, frozenset({3, 4, 5}), p, gamma, h, frozenset()
-
-    if pair == "EIV":
-        rd = build_root_data("E", 6)
-        images = [
-            _neg(rd, rd.weight((1, 1, 2, 2, 1, 0))),
-            rd.simple(2), rd.simple(3), rd.simple(4), rd.simple(5),
-            _neg(rd, rd.weight((0, 1, 1, 2, 2, 1))),
-        ]
-        h = ({2: 1}, {3: 1}, {4: 1}, {5: 1})
-        return (rd, images, frozenset({2, 3, 4, 5}), tuple(range(1, 7)),
-                [], h, frozenset())
-
-    if pair == "EVI":
-        rd = build_root_data("E", 7)
-        images = [
-            _neg(rd, rd.simple(1)), rd.simple(2), _neg(rd, rd.simple(3)),
-            _neg(rd, rd.weight((0, 1, 0, 1, 1, 0, 0))),
-            rd.simple(5),
-            _neg(rd, rd.weight((0, 0, 0, 0, 1, 1, 1))),
-            rd.simple(7),
-        ]
-        gamma = [
-            GammaEntry(rd.weight((2, 2, 3, 4, 3, 2, 1)), 1, 1, 2),
-            GammaEntry(rd.weight((0, 1, 1, 2, 2, 2, 1)), 6, 6, 2),
-            GammaEntry(rd.weight((0, 1, 1, 2, 1, 0, 0)), 4, 4, 2),
-            GammaEntry(rd.simple(3), 3, 3, 1),
-        ]
-        h = ({2: 1}, {5: 1}, {7: 1})
-        return (rd, images, frozenset({2, 5, 7}), tuple(range(1, 8)), gamma,
-                h, frozenset())
-
-    if pair == "EVII":
-        rd = build_root_data("E", 7)
-        images = [
-            _neg(rd, rd.weight((1, 1, 2, 2, 1, 0, 0))),
-            rd.simple(2), rd.simple(3), rd.simple(4), rd.simple(5),
-            _neg(rd, rd.weight((0, 1, 1, 2, 2, 1, 0))),
-            _neg(rd, rd.simple(7)),
-        ]
-        gamma = [
-            GammaEntry(rd.weight((2, 2, 3, 4, 3, 2, 1)), 1, 1, 2),
-            GammaEntry(rd.weight((0, 1, 1, 2, 2, 2, 1)), 6, 6, 2),
-            GammaEntry(rd.simple(7), 7, 7, 1),
-        ]
-        h = ({2: 1}, {3: 1}, {4: 1}, {5: 1})
-        return (rd, images, frozenset({2, 3, 4, 5}), tuple(range(1, 8)),
-                gamma, h, frozenset({7}))
-
-    if pair == "EIX":
-        rd = build_root_data("E", 8)
-        images = [
-            _neg(rd, rd.weight((1, 1, 2, 2, 1, 0, 0, 0))),
-            rd.simple(2), rd.simple(3), rd.simple(4), rd.simple(5),
-            _neg(rd, rd.weight((0, 1, 1, 2, 2, 1, 0, 0))),
-            _neg(rd, rd.simple(7)), _neg(rd, rd.simple(8)),
-        ]
-        gamma = [
-            GammaEntry(rd.weight((2, 3, 4, 6, 5, 4, 3, 2)), 8, 8, 2),
-            GammaEntry(rd.weight((2, 2, 3, 4, 3, 2, 1, 0)), 1, 1, 2),
-            GammaEntry(rd.weight((0, 1, 1, 2, 2, 2, 1, 0)), 6, 6, 2),
-            GammaEntry(rd.simple(7), 7, 7, 1),
-        ]
-        h = ({2: 1}, {3: 1}, {4: 1}, {5: 1})
-        return (rd, images, frozenset({2, 3, 4, 5}), tuple(range(1, 9)),
-                gamma, h, frozenset())
-
-    if pair == "FI":
-        rd = build_root_data("F", 4)
-        images = [_neg(rd, rd.simple(i)) for i in range(1, 5)]
-        gamma = [
-            GammaEntry(rd.weight((2, 3, 4, 2)), 1, 1, 2),
-            GammaEntry(rd.weight((0, 1, 2, 2)), 4, 4, 2),
-            GammaEntry(rd.weight((0, 1, 2, 0)), 3, 3, 2),
-            GammaEntry(rd.simple(2), 2, 2, 1),
-        ]
-        return (rd, images, frozenset(), (1, 2, 3, 4), gamma, (), frozenset())
-
-    if pair == "FII":
-        rd = build_root_data("F", 4)
-        images = [
-            rd.simple(1), rd.simple(2), rd.simple(3),
-            _neg(rd, rd.weight((1, 2, 3, 1))),
-        ]
-        # eps_1 is orthogonal (not strongly) to alpha_3 = eps_4 as well, so
-        # the second distinguished root is alpha_3
-        gamma = [GammaEntry(rd.weight((1, 2, 3, 2)), 4, 3, 2)]
-        h = ({1: 1}, {2: 1}, {3: 1})
-        return rd, images, frozenset({1, 2, 3}), (1, 2, 3, 4), gamma, h, \
-            frozenset()
-
-    if pair == "G":
-        rd = build_root_data("G", 2)
-        images = [_neg(rd, rd.simple(i)) for i in (1, 2)]
-        gamma = [
-            GammaEntry(rd.weight((2, 1)), 1, 1, 2),
-            GammaEntry(rd.simple(2), 2, 2, 1),
-        ]
-        return rd, images, frozenset(), (1, 2), gamma, (), frozenset()
-
-    raise ValueError("unknown symmetric pair label %r" % pair)
+def _satake(pair: str, n: int | None, r: int | None):
+    """(label, rank, r, family, pi_theta, flip, s-subset) with the alias
+    resolved; ValueError unless the label takes n and r."""
+    if pair not in PAIR_LABELS:
+        raise ValueError("unknown symmetric pair label %r" % pair)
+    label, ok = pair, False
+    if pair in _ALIASES and r in (None, 1):
+        label, r = _ALIASES[pair], 1
+    if label in _EXCEPTIONAL:
+        family, rank, pi, flip, s = _EXCEPTIONAL[label]
+        ok = n in (None, rank) and r is None
+    elif label in _CLASSICAL:
+        family, n_ok, r_range, pi, flip, s = _CLASSICAL[label]
+        rank = n
+        ok = n is not None and n_ok(n) and (
+            r is None if r_range is None else r in r_range(n))
+        if ok:
+            pi, s = pi(n, r), s(n, r)
+    if not ok:
+        raise ValueError("%s does not take n = %s, r = %s" % (pair, n, r))
+    return label, rank, r, family, frozenset(pi), flip, frozenset(s)
 
 
-PAIR_LABELS = ("AI", "AII", "AIII", "AIV", "BI", "BII", "CI", "CII-1",
-               "CII-2", "DI-1", "DII", "DI-2", "DI-3", "DIII-1", "DIII-2",
-               "EI", "EII", "EIII", "EIV", "EV", "EVI", "EVII", "EVIII",
-               "EIX", "FI", "FII", "G")
-
-
-def gamma_theta(pair: str, n: int | None = None,
-                r: int | None = None) -> ThetaSystem:
-    """The encoded maximum strongly orthogonal theta-system of the pair."""
-    rd, images, pith, p, gamma, h, s_set = _pair_table(pair, n, r)
-    inv = Involution(rd, pair, (n, r), tuple(images), pith, tuple(p),
-                     tuple(h), s_set)
-    inv.validate()
-    return ThetaSystem(inv, tuple(gamma))
+def _diagram_flip(family: str, n: int) -> tuple:
+    """The nontrivial diagram automorphism (n-1 <-> n in type D)."""
+    if family == "D":
+        return (*range(1, n - 1), n, n - 1)
+    if family == "E":
+        return (6, 2, 5, 4, 3, 1)
+    return tuple(range(n, 0, -1))
 
 
 def build_involution(pair: str, n: int | None = None,
                      r: int | None = None) -> Involution:
-    """The maximally split involution of the named irreducible pair."""
-    return gamma_theta(pair, n, r).involution
+    """The maximally split involution of the named irreducible pair, from
+    its Satake diagram: theta(alpha_i) = alpha_i on pi_theta and
+    -w_X(alpha_p(i)) off it, w_X the longest element of W(pi_theta);
+    h_theta is spanned by the h_i on pi_theta and h_i - h_p(i) off it."""
+    label, rank, r, family, pith, flip, s_set = _satake(pair, n, r)
+    rd = build_root_data(family, rank)
+    p = _diagram_flip(family, rank) if flip else tuple(range(1, rank + 1))
+    images = tuple(
+        rd.simple(i) if i in pith else
+        tuple(-c for c in rd.weyl_longest(pith, rd.simple(p[i - 1])))
+        for i in range(1, rank + 1))
+    h = tuple({i: 1} for i in sorted(pith)) + tuple(
+        {i: 1, p[i - 1]: -1} for i in range(1, rank + 1)
+        if i not in pith and i < p[i - 1])
+    inv = Involution(rd, label, (rank, r), images, pith, p, h, s_set)
+    inv.validate()
+    return inv
+
+
+# ---------------------------------------------------------------------------
+# Gamma_theta: the Kostant-Sugiura cascade
+
+def _components(rd: RootData, nodes) -> list:
+    """Connected components of the Dynkin subdiagram on nodes, ordered by
+    their smallest index."""
+    left, out = set(nodes), []
+    while left:
+        comp, grow = set(), [min(left)]
+        while grow:
+            i = grow.pop()
+            comp.add(i)
+            grow += [j for j in left - comp if rd.cartan[i - 1][j - 1]]
+        left -= comp
+        out.append(frozenset(comp))
+    return out
+
+
+def _cascade(inv: Involution, nodes) -> list:
+    """Per component of nodes, the highest root of Delta_theta supported
+    there, then the same on the component's simple roots strongly
+    orthogonal to it."""
+    rd, delta, out = inv.rd, delta_theta(inv), []
+
+    def grow(nodes):
+        for comp in _components(rd, nodes):
+            roots = [b for b in delta if rd.support(b) <= comp]
+            if roots:
+                beta = max(roots, key=rd.height)
+                out.append(beta)
+                grow(comp & rd.strorth_simples(beta))
+
+    grow(nodes)
+    return out
+
+
+# Where the tables fix another maximal system than the cascade: label ->
+# (rd, cascade) -> the betas in table order.  One more rule belongs here:
+# gamma_theta runs the type D cascade on nodes 2..n when that reaches the
+# same size, which settles DI-1 with odd r, DI-2 and DI-3.
+_OVERRIDES = {
+    "AI": lambda rd, c: [rd.simple(i) for i in _odd(rd.rank)],
+    # odd n: alpha_n before alpha_(n-1)
+    "DI-3": lambda rd, c: c[:-2] + c[:-3:-1] if rd.rank % 2 else c,
+    "EI": lambda rd, c: [(0, 1, 1, 2, 1, 0), rd.simple(5), rd.simple(3),
+                         rd.simple(2)],
+    # order only: alpha_7 before the D4 block, which ends alpha_5, 3, 2
+    "EV": lambda rd, c: c[:2] + [c[6], c[2], c[5], c[4], c[3]],
+    "EVIII": lambda rd, c: c[:3] + [c[7], c[3], c[6], c[5], c[4]],
+    "G": lambda rd, c: [(2, 1), rd.simple(2)],
+}
+
+
+def _distinguished(inv: Involution, beta: Weight) -> tuple:
+    """(alpha_beta, alpha'_beta): the simple roots of Supp(beta) not
+    strongly orthogonal to beta; of two, alpha' is the one in pi_theta,
+    else the higher index."""
+    near = sorted(inv.rd.support(beta) - inv.rd.strorth_simples(beta))
+    if len(near) == 1:
+        return near[0], near[0]
+    a, b = near
+    return (b, a) if a in inv.pi_theta else (a, b)
+
+
+def gamma_theta(pair: str, n: int | None = None,
+                r: int | None = None) -> ThetaSystem:
+    """The maximum strongly orthogonal theta-system of the pair."""
+    inv = build_involution(pair, n, r)
+    rd = inv.rd
+    nodes = range(1, rd.rank + 1)
+    betas = _cascade(inv, nodes)
+    if rd.family == "D":    # see _OVERRIDES
+        alt = _cascade(inv, nodes[1:])
+        if len(alt) == len(betas):
+            betas = alt
+    if inv.pair in _OVERRIDES:
+        betas = [rd.weight(b) for b in _OVERRIDES[inv.pair](rd, betas)]
+    entries = []
+    for beta in betas:
+        ab, abp = _distinguished(inv, beta)
+        entries.append(GammaEntry(beta, ab, abp,
+                                  _shape_case(inv, beta, ab, abp) or 0))
+    return ThetaSystem(inv, tuple(entries))
 
 
 def delta_theta(inv: Involution) -> tuple:
@@ -614,19 +339,13 @@ def max_strongly_orthogonal(inv: Involution) -> int:
 # ---------------------------------------------------------------------------
 # verification
 
-def _w_beta(rd: RootData, entry: GammaEntry):
-    supp = rd.support(entry.beta)
-    return tuple(sorted(supp - {entry.alpha_beta, entry.alpha_beta_prime}))
-
-
-def classify_case(ts: ThetaSystem, j: int) -> int:
-    """Recompute the structural case of beta_j from the shape equations."""
-    rd, inv = ts.rd, ts.involution
-    entry = ts.entries[j - 1]
-    beta, ab, abp = entry.beta, entry.alpha_beta, entry.alpha_beta_prime
+def _shape_case(inv: Involution, beta: Weight, ab: int, abp: int):
+    """The structural case (1-5) whose shape equation beta satisfies with
+    distinguished roots alpha_ab, alpha_abp, or None."""
+    rd = inv.rd
     sa, sap = rd.simple(ab), rd.simple(abp)
     supp = rd.support(beta)
-    wb = _w_beta(rd, entry)
+    wb = tuple(sorted(supp - {ab, abp}))
 
     def wsum(*parts):
         out = rd.zero()
@@ -634,34 +353,37 @@ def classify_case(ts: ThetaSystem, j: int) -> int:
             out = tuple(a + b for a, b in zip(out, x))
         return out
 
-    got = None
     case2_shape = beta == wsum(sa, rd.weyl_longest(
         tuple(sorted(supp - {ab})), sa))
     if beta == sa and ab == abp:
-        got = 1
-    elif ab == abp and case2_shape:
-        got = 2
-    elif ab != abp and beta == wsum(sap, rd.weyl_longest(wb, sa)):
+        return 1
+    if ab == abp and case2_shape:
+        return 2
+    if ab != abp and beta == wsum(sap, rd.weyl_longest(wb, sa)):
         same_len = rd.inner(sa, sa) == rd.inner(sap, sap)
         if same_len and abp == inv.p[ab - 1] and \
                 beta == rd.weyl_longest(tuple(sorted(supp - {ab})), sa):
-            got = 3
-        elif not same_len and \
+            return 3
+        if not same_len and \
                 beta == rd.weyl_longest(tuple(sorted(supp - {abp})), sap):
-            got = 4
-    if got is None and ab != abp and abp in inv.pi_theta and \
-            beta == wsum(sap, sa, rd.weyl_longest(wb, sa)):
-        got = 5
-    if got is None and ab != abp and abp in inv.pi_theta and \
-            not rd.inner(beta, sap) and case2_shape:
-        # FII-style: alpha' is the second distinguished root but the shape
-        # collapses to the doubled-multiplicity form
-        got = 2
+            return 4
+    if ab != abp and abp in inv.pi_theta:
+        if beta == wsum(sap, sa, rd.weyl_longest(wb, sa)):
+            return 5
+        if not rd.inner(beta, sap) and case2_shape:
+            # FII-style: alpha' is the second distinguished root but the
+            # shape collapses to the doubled-multiplicity form
+            return 2
+    return None
+
+
+def classify_case(ts: ThetaSystem, j: int) -> int:
+    """Recompute the structural case of beta_j from the shape equations."""
+    e = ts.entries[j - 1]
+    got = _shape_case(ts.involution, e.beta, e.alpha_beta,
+                      e.alpha_beta_prime)
     if got is None:
         raise ValueError("no structural case matches beta_%d" % j)
-    if got != entry.case:
-        raise ValueError("case tag mismatch at beta_%d: table %d, shape %d"
-                         % (j, entry.case, got))
     return got
 
 
@@ -728,13 +450,9 @@ def verify_theta_system(ts: ThetaSystem) -> dict:
                 ok = False
     checks["minus_w_beta_permutes_pi_theta"] = ok
 
-    ok = True
-    for jidx in range(1, len(entries) + 1):
-        try:
-            classify_case(ts, jidx)
-        except ValueError:
-            ok = False
-    checks["case_shape_equations"] = ok
+    checks["case_shape_equations"] = all(
+        _shape_case(inv, e.beta, e.alpha_beta, e.alpha_beta_prime) == e.case
+        for e in entries)
 
     checks["maximality_size"] = (
         len(entries) == max_strongly_orthogonal(inv))

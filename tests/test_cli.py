@@ -173,6 +173,34 @@ def test_verify_suite_outside_family_exit_code(capsys, args):
     assert "pi_theta empty" in got.err
 
 
+@pytest.mark.parametrize("args", [
+    ["--pair", "AIV", "--n", "5", "--r", "3"],
+    ["--pair", "EI", "--n", "4", "--r", "9"],
+    ["--pair", "EI", "--n", "4"],
+    ["--pair", "EI", "--r", "1"],
+] + [["--pair", label, "--n", n, "--r", "1"] for label, n in (
+    ("AI", "3"), ("AII", "3"), ("CI", "3"), ("CII-2", "4"), ("DI-2", "4"),
+    ("DI-3", "4"), ("DIII-1", "4"), ("DIII-2", "5"))])
+def test_parameters_the_pair_does_not_take_exit_code(capsys, args):
+    assert main(["theta-system", *args]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("n", ["3", "5"])
+def test_alias_runs_as_its_family(capsys, n):
+    # AIV(n) is AIII(n, 1): the same checks, the theta ones included
+    rc, alias = run(["classical-cartan", "--pair", "AIV", "--n", n, "--json"],
+                    capsys)
+    assert rc == 0
+    rc, family = run(["classical-cartan", "--pair", "AIII", "--n", n, "--r",
+                      "1", "--json"], capsys)
+    assert rc == 0
+    alias, family = json.loads(alias), json.loads(family)
+    assert list(alias["checks"]) == list(family["checks"])
+    assert "theta_fixes_basis" in alias["checks"]
+    assert alias == family
+
+
 def test_verify_suite_aiv(capsys):
     rc, _ = run(["verify", "suite", "--pair", "AIV", "--n", "2"], capsys)
     assert rc == 0

@@ -4,13 +4,13 @@ import pathlib
 
 import pytest
 
-from qcartan.involutions import (GammaEntry, ThetaSystem, build_involution,
-                                 classify_case, classical_cartan_symbolic,
-                                 delta_theta, format_symbolic_basis,
-                                 gamma_theta, max_strongly_orthogonal,
-                                 verify_theta_system)
-
 from pair_cases import ALL_CASES
+
+from qcartan.involutions import (PAIR_LABELS, GammaEntry, ThetaSystem,
+                                 build_involution, classical_cartan_symbolic,
+                                 classify_case, delta_theta,
+                                 format_symbolic_basis, gamma_theta,
+                                 max_strongly_orthogonal, verify_theta_system)
 
 PINNED = {(row["pair"], row["n"], row["r"]): row for row in json.loads(
     (pathlib.Path(__file__).parent / "golden" / "pair_tables.json")
@@ -48,6 +48,48 @@ def test_invalid_parameters():
         build_involution("CII-1", 4, 3)
     with pytest.raises(ValueError):
         build_involution("XX", 2)
+
+
+# each label's parameters at the edges of its bounds: the admitted ones, then
+# one step past each bound (and an r where the label takes none)
+EXCEPTIONAL_RANKS = {"EI": 6, "EII": 6, "EIII": 6, "EIV": 6, "EV": 7,
+                     "EVI": 7, "EVII": 7, "EVIII": 8, "EIX": 8, "FI": 4,
+                     "FII": 4, "G": 2}
+EDGES = {
+    "AI": ([(1, None)], [(0, None), (1, 1)]),
+    "AII": ([(3, None)], [(1, None), (4, None), (3, 1)]),
+    "AIII": ([(1, 1), (5, 1), (5, 3)], [(0, 1), (5, 0), (5, 4), (5, None)]),
+    "AIV": ([(1, None), (5, 1)], [(0, None), (5, 0), (5, 2)]),
+    "BI": ([(2, 1), (4, 4)], [(1, 1), (4, 0), (4, 5), (4, None)]),
+    "BII": ([(2, None), (2, 1)], [(1, None), (2, 0), (2, 2)]),
+    "CI": ([(2, None)], [(1, None), (2, 1)]),
+    "CII-1": ([(3, 2), (6, 4)],
+              [(2, 2), (6, 0), (6, 3), (6, 6), (6, None)]),
+    "CII-2": ([(4, None)], [(2, None), (5, None), (4, 1)]),
+    "DI-1": ([(4, 1), (6, 4)], [(3, 1), (6, 0), (6, 5), (6, None)]),
+    "DII": ([(4, None), (4, 1)], [(3, None), (4, 0), (4, 2)]),
+    "DI-2": ([(4, None)], [(3, None), (4, 1)]),
+    "DI-3": ([(4, None)], [(3, None), (4, 1)]),
+    "DIII-1": ([(4, None)], [(2, None), (5, None), (4, 1)]),
+    "DIII-2": ([(5, None)], [(3, None), (6, None), (5, 1)]),
+    **{label: ([(None, None), (rank, None)],
+               [(rank - 1, None), (rank + 1, None), (None, 1)])
+       for label, rank in EXCEPTIONAL_RANKS.items()},
+}
+
+
+@pytest.mark.parametrize("label", sorted(EDGES))
+def test_parameter_bounds(label):
+    admitted, refused = EDGES[label]
+    for n, r in admitted:
+        gamma_theta(label, n, r)
+    for n, r in refused:
+        with pytest.raises(ValueError):
+            gamma_theta(label, n, r)
+
+
+def test_every_label_has_bounds():
+    assert sorted(EDGES) == sorted(PAIR_LABELS)
 
 
 def test_delta_theta_examples():
@@ -92,6 +134,10 @@ def test_aliases():
     assert gamma_theta("AIV", 5).entries == gamma_theta("AIII", 5, 1).entries
     assert gamma_theta("BII", 3).entries == gamma_theta("BI", 3, 1).entries
     assert gamma_theta("DII", 5).entries == gamma_theta("DI-1", 5, 1).entries
+    inv = build_involution("AIV", 5)
+    assert (inv.pair, inv.params) == ("AIII", (5, 1))
+    assert build_involution("BII", 3, 1).pair == "BI"
+    assert build_involution("EI").params == (6, None)
 
 
 @pytest.mark.parametrize("label,n,r", ALL_CASES)
