@@ -2,8 +2,7 @@
 pair coideal subalgebras, and their quantum Cartan subalgebras."""
 
 from .classical import (cayley_on_triple, chevalley_matrices,
-                        classical_nested, matrix_root_vector,
-                        verify_classical_cartan)
+                        matrix_root_vector, verify_classical_cartan)
 from .coideal import (CartanReport, CoidealParams, cartan_element,
                       verify_cartan_suite)
 from .involutions import (GammaEntry, Involution, ThetaSystem,
@@ -20,9 +19,8 @@ __all__ = [
     "Involution", "LusztigT", "QRat", "RootData", "ThetaSystem",
     "build_involution", "build_root_data", "cartan_element",
     "cayley_on_triple", "chevalley_matrices", "classical_cartan_symbolic",
-    "classical_nested", "classify_case", "delta_theta", "format_qrat",
-    "gamma_theta", "gauss_binomial", "kostant_partition_count",
-    "matrix_root_vector", "q_comm", "q_power", "qvar",
-    "verify_cartan_suite", "verify_classical_cartan", "verify_theta_system",
-    "weights_up_to_height",
+    "classify_case", "delta_theta", "format_qrat", "gamma_theta",
+    "gauss_binomial", "kostant_partition_count", "matrix_root_vector",
+    "q_comm", "q_power", "qvar", "verify_cartan_suite",
+    "verify_classical_cartan", "verify_theta_system", "weights_up_to_height",
 ]

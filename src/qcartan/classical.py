@@ -1,9 +1,10 @@
 """Exact matrix realizations of the classical Lie algebras.
 
 These serve as the brute-force oracle for the quantum layer: Chevalley
-generators for types A-D, nested-bracket root vectors, the commutativity and
-dimension check for the fixed-part Cartan construction, and the Cayley
-transform check inside an sl2-triple over Q(sqrt 2).
+generators for types A-D, one root vector e_beta or f_{-beta} per positive
+root (the target every q = 1 specialization is compared with), the
+commutativity and dimension check for the fixed-part Cartan construction,
+and the Cayley transform check inside an sl2-triple over Q(sqrt 2).
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ from .linalg import Echelon, vec_ratio
 from .rootsys import build_root_data
 
 Matrix = tuple  # of tuples of Fractions
-
-
-def mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(c) for c in row) for row in rows)
 
 
 def zeros(n: int) -> Matrix:
@@ -141,24 +138,6 @@ def matrix_root_vector(family: str, rank: int, beta, sign: int = +1) -> Matrix:
     out = build(beta)
     if is_zero(out):
         raise AssertionError("vanishing root vector for %r" % (beta,))
-    return out
-
-
-def classical_nested(family: str, rank: int, word) -> Matrix:
-    """Left-nested bracket of e_i/f_i along a signed word: [x_m,[...,[x_2,x_1]]].
-
-    word entries are +-(index); +i means e_i, -i means f_i.
-    """
-    if not word:
-        raise ValueError("empty word")
-    e, f, h = chevalley_matrices(family, rank)
-
-    def gen(s):
-        return e[s - 1] if s > 0 else f[-s - 1]
-
-    out = gen(word[0])
-    for s in word[1:]:
-        out = bracket(gen(s), out)
     return out
 
 

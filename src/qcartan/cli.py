@@ -58,11 +58,10 @@ def _load_config(ns):
 def _params(ns) -> CoidealParams | None:
     if not ns.pair:
         return None
-    inv = build_involution(ns.pair, ns.n, ns.r)
-    return CoidealParams(inv, Algebra(inv.rd))
+    return CoidealParams(build_involution(ns.pair, ns.n, ns.r))
 
 
-def _algebra(ns) -> Algebra:
+def _algebra(ns) -> tuple[Algebra, CoidealParams | None]:
     par = _params(ns)
     if par is not None:
         return par.algebra, par
@@ -74,6 +73,11 @@ def _algebra(ns) -> Algebra:
 def _eval(ns, text):
     alg, par = _algebra(ns)
     return alg, Evaluator(alg, par).run(parse_expr(text))
+
+
+def _print_checks(checks: dict):
+    for k, v in checks.items():
+        print("  %-40s %s" % (k, "pass" if v else "FAIL"))
 
 
 def cmd_normal_form(ns) -> int:
@@ -99,8 +103,9 @@ def cmd_theta_system(ns) -> int:
     ts = gamma_theta(ns.pair, ns.n, ns.r)
     report = verify_theta_system(ts)
     if ns.json:
+        inv = ts.involution
         print(json.dumps({
-            "pair": ns.pair, "n": ns.n, "r": ns.r,
+            "pair": inv.pair, "n": inv.params[0], "r": inv.params[1],
             "betas": [[str(c) for c in e.beta] for e in ts.entries],
             "alpha_beta": [e.alpha_beta for e in ts.entries],
             "alpha_beta_prime": [e.alpha_beta_prime for e in ts.entries],
@@ -112,8 +117,7 @@ def cmd_theta_system(ns) -> int:
             coords = ",".join(str(c) for c in e.beta)
             print("beta_%d = (%s)  alpha=%d alpha'=%d case %d"
                   % (j, coords, e.alpha_beta, e.alpha_beta_prime, e.case))
-        for k, v in report.items():
-            print("  %-40s %s" % (k, "pass" if v else "FAIL"))
+        _print_checks(report)
     return 0 if all(report.values()) else 1
 
 
@@ -127,16 +131,15 @@ def cmd_classical_cartan(ns) -> int:
     else:
         for line in format_symbolic_basis(ts):
             print("  " + line)
-        for k, v in out["checks"].items():
-            print("  %-40s %s" % (k, "pass" if v else "FAIL"))
+        _print_checks(out["checks"])
     return 0 if all(out["checks"].values()) else 1
 
 
 def cmd_cartan(ns) -> int:
-    par = _params(ns)
-    if par is None:
+    if not ns.pair:
         raise ValueError("cartan needs --pair")
     ts = gamma_theta(ns.pair, ns.n, ns.r)
+    par = CoidealParams(ts.involution)
     if ns.j is not None and not 1 <= ns.j <= len(ts.entries):
         raise ValueError("--j must lie in 1..%d" % len(ts.entries))
     js = range(1, len(ts.entries) + 1) if ns.j is None else [ns.j]
@@ -151,8 +154,7 @@ def cmd_cartan(ns) -> int:
                             "checks": rep.checks})
         else:
             print("H_%d = %s" % (j, par.algebra.render(rep.H)))
-            for k, v in rep.checks.items():
-                print("  %-40s %s" % (k, "pass" if v else "FAIL"))
+            _print_checks(rep.checks)
     if ns.json:
         print(json.dumps(payload))
     return 0 if ok else 1
@@ -186,7 +188,7 @@ def cmd_verify(ns) -> int:
         results["cayley"] = cayley_on_triple()
         ok = ok and all(results["cayley"].values())
     if ns.what in ("all", "suite"):
-        par = CoidealParams(ts.involution, Algebra(ts.rd))
+        par = CoidealParams(ts.involution)
         rep = verify_cartan_suite(par, ts, deep=not ns.shallow)
         flat = {k: v for k, v in rep.items()
                 if isinstance(v, bool)}
@@ -197,8 +199,7 @@ def cmd_verify(ns) -> int:
     else:
         for section, rep in results.items():
             print(section)
-            for k, v in rep.items():
-                print("  %-40s %s" % (k, "pass" if v else "FAIL"))
+            _print_checks(rep)
     return 0 if ok else 1
 
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classical import (chevalley_matrices, classical_nested, madd,
-                        mat_vec, matrix_root_vector, mmul, mscale, zeros)
+from .classical import (chevalley_matrices, madd, mat_vec,
+                        matrix_root_vector, mmul, mscale, zeros)
 from .involutions import Involution, ThetaSystem
-from .linalg import Echelon, kernel_basis, vec_ratio
+from .linalg import Echelon, vec_ratio
 from .qfield import ONE, QRat, ZERO
 from .uqalgebra import Algebra, Element, LusztigT, _as_qrat, q_comm
 
@@ -77,25 +77,16 @@ class CoidealParams:
         if not any(rest):
             out = alg.E(pi)
         else:
-            # (ad E-words) E_{p(i)} at the target weight; validate() puts
-            # Supp(rest) inside pi_theta, so only pi_theta letters occur
-            candidates = alg.ad_span("+", rest, alg.E(pi))
-            cols = []
-            for x in candidates:
-                col = {}
-                for j in sorted(inv.pi_theta):
-                    for t, c in alg.ad_E(j, x).terms.items():
-                        col[(j, t)] = c
-                cols.append(col)
-            kerns = kernel_basis(cols)
+            # (ad E-words) E_{p(i)} at the target weight; since
+            # theta(alpha_i) = -w_X(alpha_{p(i)}), Supp(rest) lies inside
+            # pi_theta, so only pi_theta letters occur
+            kerns = alg.ad_kernel(alg.ad_span("+", rest, alg.E(pi)),
+                                  [("E", j) for j in sorted(inv.pi_theta)])
             if len(kerns) != 1:
                 raise AssertionError(
                     "highest-weight space of (ad M)E_%d is %d-dimensional"
                     % (pi, len(kerns)))
-            out = alg.zero()
-            for idx, cc in kerns[0].items():
-                out = out + candidates[idx].scale(cc)
-            out = alg.lex_normalize(out)
+            out = kerns[0]
         self._theta_q[i] = out
         return out
 
@@ -191,11 +182,7 @@ class CoidealParams:
             y = self._lusztig.apply_word(word, alg.F(ab), direction=-1)
             return alg.lex_normalize(y)
         if case == 4:
-            chain = self._type_b_chain(beta, ab, abp)
-            y = alg.F(chain[0]) * alg.Ki(chain[0])
-            for t in chain[1:]:
-                y = alg.ad_F(t, y)
-            y = y * alg.K(tuple(-c for c in beta))
+            y = self._ad_F_chain(alg.F(ab), beta, ab, abp)
             return alg.lex_normalize(y)
         if case == 5:
             beta_p = tuple(b - c for b, c in zip(beta, rd.simple(abp)))
@@ -208,10 +195,12 @@ class CoidealParams:
             return alg.lex_normalize(y)
         raise ValueError("unknown case tag %r" % case)
 
-    def _type_b_chain(self, beta, ab: int, abp: int) -> list[int]:
-        """Support of beta ordered along the Dynkin path from alpha_beta to
-        the short root alpha'_beta."""
-        rd = self.algebra.rd
+    def _ad_F_chain(self, head: Element, beta, ab: int, abp: int) -> Element:
+        """(ad F_{c_m} ... ad F_{c_2})(head K_{c_1}) K_{-beta}, where
+        c_1 = alpha_beta, ..., c_m = alpha'_beta is the support of beta
+        ordered along the Dynkin path to the short root."""
+        alg = self.algebra
+        rd = alg.rd
         supp = set(rd.support(beta))
         chain = [ab]
         seen = {ab}
@@ -225,22 +214,20 @@ class CoidealParams:
             seen.add(nxt[0])
         if chain[-1] != abp:
             raise AssertionError("chain does not end at the short root")
-        return chain
+        y = head * alg.Ki(ab)
+        for t in chain[1:]:
+            y = alg.ad_F(t, y)
+        return y * alg.K(tuple(-c for c in beta))
 
     def type_b_pair(self, beta, ab: int, abp: int):
         """Paired upper/lower root vectors (X, Y) with X + Y in B_theta,
         from the ad-F-chain applied to the generator at the chain head."""
         alg = self.algebra
         rd = alg.rd
-        chain = self._type_b_chain(beta, ab, abp)
-        for t in chain[1:]:
-            if t not in self.involution.pi_theta:
-                raise ValueError("type-B pair needs the chain tail inside "
-                                 "pi_theta")
-        u = self.B(chain[0]) * alg.Ki(chain[0])
-        for t in chain[1:]:
-            u = alg.ad_F(t, u)
-        u = u * alg.K(tuple(-c for c in beta))
+        if not rd.support(beta) - {ab} <= self.involution.pi_theta:
+            raise ValueError("type-B pair needs the chain tail inside "
+                             "pi_theta")
+        u = self._ad_F_chain(self.B(ab), beta, ab, abp)
         comps = alg.biweight_components(u)
         zero = rd.zero()
         x = comps.get((zero, tuple(beta)), alg.zero())
@@ -369,15 +356,8 @@ def cartan_element(params: CoidealParams, ts: ThetaSystem,
     checks["X_in_ad_submodule"] = alg.ad_submodule_membership(
         X, entry.alpha_beta, "+")
     if entry.case == 5:
-        beta_p = tuple(b - c for b, c in
-                       zip(beta, rd.simple(entry.alpha_beta_prime)))
-        nu = rd.fundamental_weights[entry.alpha_beta - 1]
-        ech = Echelon()
-        for x in alg.ad_span("-", beta_p, alg.K(tuple(-2 * c for c in nu))):
-            ech.add(alg.ad_F(entry.alpha_beta_prime, x).terms)
-        shift = tuple(b - 2 * c for b, c in zip(beta, nu))
-        checks["Y_through_ad_F_alpha_prime"] = ech.contains(
-            (Y * alg.K(shift)).terms)
+        checks["Y_through_ad_F_alpha_prime"] = alg.ad_submodule_membership(
+            Y, entry.alpha_beta, "-", entry.alpha_beta_prime)
 
     # (iii) commutation with the strongly orthogonal part and with T_theta
     pij = sorted(rd.strorth_simples(beta))
@@ -432,19 +412,23 @@ def specialize_to_matrix(alg: Algebra, x: Element, side: str):
     return out
 
 
+def _specialization_ratio(alg: Algebra, x: Element, beta, sign: int):
+    """The scalar r with x|_{q=1} = r f_{-beta} (sign -1) or r e_beta
+    (sign +1) in the classical realization, or None if there is none."""
+    rd = alg.rd
+    xmat = specialize_to_matrix(alg, x, "-" if sign < 0 else "+")
+    return vec_ratio(mat_vec(xmat), mat_vec(
+        matrix_root_vector(rd.family, rd.rank, beta, sign)))
+
+
 def _specialization_checks(alg: Algebra, entry, Y: Element, X: Element,
                            scalars: dict) -> dict:
-    rd = alg.rd
     out = {}
     try:
-        ymat = specialize_to_matrix(alg, Y, "-")
-        target = matrix_root_vector(rd.family, rd.rank, entry.beta, -1)
-        ry = vec_ratio(mat_vec(ymat), mat_vec(target))
+        ry = _specialization_ratio(alg, Y, entry.beta, -1)
         out["Y_specializes_to_root_vector"] = ry is not None
         scalars["Y_specialization_ratio"] = ry
-        xmat = specialize_to_matrix(alg, X, "+")
-        targetx = matrix_root_vector(rd.family, rd.rank, entry.beta, +1)
-        rx = vec_ratio(mat_vec(xmat), mat_vec(targetx))
+        rx = _specialization_ratio(alg, X, entry.beta, +1)
         out["X_specializes_to_root_vector"] = rx is not None
         scalars["X_specialization_ratio"] = rx
     except ValueError as exc:
@@ -549,15 +533,11 @@ def verify_cartan_suite(params: CoidealParams, ts: ThetaSystem,
         if not alg.in_integral_form(hps[j]):
             ok = False
             continue
-        low = alg.biweight_part(hps[j], tuple(-c for c in beta), rd.zero())
-        high = alg.biweight_part(hps[j], rd.zero(), beta)
-        word = list(range(j, n - j + 2))
-        ratio_f = vec_ratio(
-            mat_vec(specialize_to_matrix(alg, low, "-")),
-            mat_vec(classical_nested("A", n, [-t for t in word])))
-        ratio_e = vec_ratio(
-            mat_vec(specialize_to_matrix(alg, high, "+")),
-            mat_vec(classical_nested("A", n, word)))
+        comps = alg.biweight_components(hps[j])
+        low = comps.get((tuple(-c for c in beta), rd.zero()), alg.zero())
+        high = comps.get((rd.zero(), beta), alg.zero())
+        ratio_f = _specialization_ratio(alg, low, beta, -1)
+        ratio_e = _specialization_ratio(alg, high, beta, +1)
         details[j] = (ratio_f, ratio_e)
         if ratio_f not in (1, -1) or ratio_e not in (1, -1):
             ok = False

@@ -50,32 +50,20 @@ class Involution:
         return len(self.h_theta)
 
     def validate(self):
-        """Check the defining invariants of a maximally split involution."""
+        """Check the invariants the Satake derivation does not make true by
+        construction: theta is an involution, preserves the form, and fixes
+        each h_theta direction."""
         rd = self.rd
         n = rd.rank
         for i in range(1, n + 1):
             a = rd.simple(i)
             if self.apply(self.apply(a)) != a:
                 raise AssertionError("theta is not an involution at alpha_%d" % i)
-            if (self.apply(a) == a) != (i in self.pi_theta):
-                raise AssertionError("pi_theta mismatch at alpha_%d" % i)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 a, b = rd.simple(i), rd.simple(j)
                 if rd.inner(self.apply(a), self.apply(b)) != rd.inner(a, b):
                     raise AssertionError("theta does not preserve the form")
-        if sorted(self.p) != list(range(1, n + 1)):
-            raise AssertionError("p is not a permutation")
-        for i in range(1, n + 1):
-            if i in self.pi_theta:
-                continue
-            diff = tuple(-c for c in self.apply(rd.simple(i)))
-            diff = tuple(d - s for d, s in
-                         zip(diff, rd.simple(self.p[i - 1])))
-            if any(c < 0 or c.denominator != 1 for c in diff) or \
-                    not rd.support(diff) <= self.pi_theta:
-                raise AssertionError("permutation condition fails at alpha_%d" % i)
-        # h_theta entries must be theta-fixed directions of the Cartan part
         for span in self.h_theta:
             lam = _coroot_combo_weight(rd, span)
             if self.apply(lam) != lam:

@@ -122,16 +122,14 @@ def _one_like(vec: dict):
     return 1
 
 
-def kernel_basis(columns: list[dict], labels=None) -> list[dict]:
+def kernel_basis(columns: list[dict]) -> list[dict]:
     """Kernel of the linear map sending unit vector #j to columns[j].
 
-    Returns combination dicts (label -> coefficient) spanning the kernel.
+    Returns combination dicts (index -> coefficient) spanning the kernel.
     """
-    if labels is None:
-        labels = list(range(len(columns)))
     ech = Echelon(track=True)
     out = []
-    for lab, col in zip(labels, columns):
+    for lab, col in enumerate(columns):
         is_new, combo = ech.add(col, label=lab)
         if not is_new:
             # combo expresses col over earlier columns: col = sum combo[k]*col_k

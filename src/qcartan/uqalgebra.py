@@ -19,6 +19,7 @@ forms is an integer.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .linalg import Echelon, _accumulate, kernel_basis, vec_add
 from .qfield import ONE, QRat, format_qrat, q_factorial, q_power
@@ -277,31 +278,29 @@ class Algebra:
         return a
 
     # -- (anti)automorphisms ---------------------------------------------------
-    def kappa(self, a: Element) -> Element:
-        """The quantum Chevalley antiautomorphism."""
+    def substitute(self, a: Element, f, k, e, anti: bool = False) -> Element:
+        """The image of a under the (anti)homomorphism sending F_t to f(t),
+        K_mu to k(mu) and E_t to e(t), applied term by term."""
         out = self.zero()
         for (u, mu, v), c in a.terms.items():
+            factors = [f(t) for t in u] + [k(mu)] + [e(t) for t in v]
             acc = self.scalar(c)
-            for t in reversed(v):
-                acc = acc * self.F(t) * self.Ki(t)
-            acc = acc * self.K(mu)
-            for t in reversed(u):
-                acc = acc * self.Ki(t, -1) * self.E(t)
+            for g in (reversed(factors) if anti else factors):
+                acc = acc * g
             out = out + acc
         return out
 
+    def kappa(self, a: Element) -> Element:
+        """The quantum Chevalley antiautomorphism."""
+        return self.substitute(a, lambda t: self.Ki(t, -1) * self.E(t),
+                               self.K, lambda t: self.F(t) * self.Ki(t),
+                               anti=True)
+
     def sigma(self, a: Element) -> Element:
         """The antiautomorphism fixing E_i, F_i and inverting the K's."""
-        out = self.zero()
-        for (u, mu, v), c in a.terms.items():
-            acc = self.scalar(c)
-            for t in reversed(v):
-                acc = acc * self.E(t)
-            acc = acc * self.K(tuple(-m for m in mu))
-            for t in reversed(u):
-                acc = acc * self.F(t)
-            out = out + acc
-        return out
+        return self.substitute(
+            a, self.F, lambda mu: self.K(tuple(-m for m in mu)), self.E,
+            anti=True)
 
     def phi(self, a: Element) -> Element:
         """Automorphism over q -> q^{-1} fixing E_i, F_i, inverting K's."""
@@ -347,17 +346,6 @@ class Algebra:
                    self.ws.word_weight(v))
             out.setdefault(key, {})[t] = c
         return {k: Element(self, d) for k, d in out.items()}
-
-    def biweight_part(self, a: Element, lweight, rweight) -> Element:
-        lw = self.rd.weight(lweight)
-        rw = self.rd.weight(rweight)
-        keep = {}
-        for t, c in a.terms.items():
-            u, mu, v = t
-            if self.ws.word_weight(v) == rw and \
-                    tuple(-x for x in self.ws.word_weight(u)) == lw:
-                keep[t] = c
-        return Element(self, keep)
 
     def l_weight_min(self, a: Element):
         """One minimal l-weight together with its full component."""
@@ -410,19 +398,17 @@ class Algebra:
         for j in subset:
             if rd.inner(beta, rd.simple(j)):
                 return []
-        vectors = self.weight_space_elements(sign, beta)
-        columns = []
-        for x in vectors:
-            col = {}
-            for j in subset:
-                for t, c in self.ad_E(j, x).terms.items():
-                    col[("E", j, t)] = c
-                for t, c in self.ad_F(j, x).terms.items():
-                    col[("F", j, t)] = c
-            columns.append(col)
-        kerns = kernel_basis(columns)
+        return self.ad_kernel(self.weight_space_elements(sign, beta),
+                              [(g, j) for j in subset for g in "EF"])
+
+    def ad_kernel(self, vectors, gens) -> list[Element]:
+        """Lex-normalized basis of the combinations of vectors killed by
+        ad g for every g in gens (generators as ad_generator takes them)."""
+        columns = [{(g, t): c for g in gens
+                    for t, c in self.ad_generator(g, x).terms.items()}
+                   for x in vectors]
         out = []
-        for combo in kerns:
+        for combo in kernel_basis(columns):
             x = self.zero()
             for idx, c in combo.items():
                 x = x + vectors[idx].scale(c)
@@ -473,9 +459,11 @@ class Algebra:
         return layers.get(target, [])
 
     def ad_submodule_membership(self, x: Element, nu_index: int,
-                                sign: str = "-") -> bool:
+                                sign: str = "-", alpha_prime=None) -> bool:
         """x K_{beta - 2 nu} in (ad U^{sign}) K_{-2 nu}, for homogeneous x of
-        weight -beta (sign '-') or in G^+_beta (sign '+')."""
+        weight -beta (sign '-') or in G^+_beta (sign '+').  With alpha_prime
+        the span is that of (ad X_{alpha'})(ad U^{sign}_{beta - alpha'})
+        K_{-2 nu}, X = F (sign '-') or E (sign '+')."""
         if x.is_zero():
             return True
         rd = self.rd
@@ -487,11 +475,18 @@ class Algebra:
             raise ValueError("weight outside the positive cone")
         nu = rd.fundamental_weights[nu_index - 1]
         shift = tuple(b - 2 * c for b, c in zip(beta, nu))
-        target = x * self.K(shift)
+        start = self.K(tuple(-2 * c for c in nu))
+        if alpha_prime is None:
+            ys = self.ad_span(sign, beta, start)
+        else:
+            rest = tuple(b - a for b, a in zip(beta, rd.simple(alpha_prime)))
+            gen = ("F" if sign == "-" else "E", alpha_prime)
+            ys = [self.ad_generator(gen, y)
+                  for y in self.ad_span(sign, rest, start)]
         span = Echelon()
-        for y in self.ad_span(sign, beta, self.K(tuple(-2 * c for c in nu))):
+        for y in ys:
             span.add(y.terms)
-        return span.contains(target.terms)
+        return span.contains((x * self.K(shift)).terms)
 
     # -- rendering ----------------------------------------------------------------
     def render_term(self, term: Term) -> str:
@@ -553,7 +548,7 @@ class Algebra:
         coeffs: dict = {}
         for mu, c in torus.items():
             exps = [m + s for m, s in zip(mu, shift)]
-            for e in _exp_boxes(exps):
+            for e in product(*(range(m + 1) for m in exps)):
                 w = 1
                 for ei, mi in zip(e, exps):
                     w *= comb(mi, ei)
@@ -575,15 +570,6 @@ class Algebra:
         return out
 
 
-def _exp_boxes(exps):
-    if not exps:
-        yield []
-        return
-    for rest in _exp_boxes(exps[1:]):
-        for e0 in range(exps[0] + 1):
-            yield [e0] + rest
-
-
 def q_comm(a: Element, b: Element, scale=ONE) -> Element:
     """The q-commutator [a, b]_scale = ab - scale ba."""
     return a * b - (b * a).scale(scale)
@@ -601,15 +587,12 @@ def _divided_power(alg: Algebra, gen, i: int, s: int) -> Element:
 def lusztig_T_images(alg: Algebra, i: int, direction: int = +1) -> dict:
     """Images of all generators under T_i (direction=+1) or T_i^{-1}."""
     rd = alg.rd
-    img = {}
     qi = alg.q_i(i)
-    if direction > 0:
-        img[("E", i)] = (alg.F(i) * alg.Ki(i)).scale(-1)
-        img[("F", i)] = (alg.Ki(i, -1) * alg.E(i)).scale(-1)
-    else:
+    img = {("E", i): (alg.F(i) * alg.Ki(i)).scale(-1),
+           ("F", i): (alg.Ki(i, -1) * alg.E(i)).scale(-1)}
+    if direction < 0:
         # T_i^{-1} = sigma T_i sigma
-        img[("E", i)] = alg.sigma((alg.F(i) * alg.Ki(i)).scale(-1))
-        img[("F", i)] = alg.sigma((alg.Ki(i, -1) * alg.E(i)).scale(-1))
+        img = {g: alg.sigma(x) for g, x in img.items()}
     for j in range(1, rd.rank + 1):
         if j == i:
             continue
@@ -618,20 +601,13 @@ def lusztig_T_images(alg: Algebra, i: int, direction: int = +1) -> dict:
         sf = alg.zero()
         for s in range(r + 1):
             sign = ONE if s % 2 == 0 else -ONE
-            if direction > 0:
-                se = se + (_divided_power(alg, alg.E, i, r - s) * alg.E(j)
-                           * _divided_power(alg, alg.E, i, s)
-                           ).scale(sign * qi ** (-s))
-                sf = sf + (_divided_power(alg, alg.F, i, s) * alg.F(j)
-                           * _divided_power(alg, alg.F, i, r - s)
-                           ).scale(sign * qi ** s)
-            else:
-                se = se + (_divided_power(alg, alg.E, i, s) * alg.E(j)
-                           * _divided_power(alg, alg.E, i, r - s)
-                           ).scale(sign * qi ** (-s))
-                sf = sf + (_divided_power(alg, alg.F, i, r - s) * alg.F(j)
-                           * _divided_power(alg, alg.F, i, s)
-                           ).scale(sign * qi ** s)
+            a, b = (r - s, s) if direction > 0 else (s, r - s)
+            se = se + (_divided_power(alg, alg.E, i, a) * alg.E(j)
+                       * _divided_power(alg, alg.E, i, b)
+                       ).scale(sign * qi ** (-s))
+            sf = sf + (_divided_power(alg, alg.F, i, b) * alg.F(j)
+                       * _divided_power(alg, alg.F, i, a)
+                       ).scale(sign * qi ** s)
         img[("E", j)] = se
         img[("F", j)] = sf
     return img
@@ -652,18 +628,10 @@ class LusztigT:
 
     def apply(self, i: int, direction: int, a: Element) -> Element:
         alg = self.alg
-        rd = alg.rd
         img = self._image(i, direction)
-        out = alg.zero()
-        for (u, mu, v), c in a.terms.items():
-            acc = alg.scalar(c)
-            for t in u:
-                acc = acc * img[("F", t)]
-            acc = acc * alg.K(rd.reflect(i, mu))
-            for t in v:
-                acc = acc * img[("E", t)]
-            out = out + acc
-        return out
+        return alg.substitute(a, lambda t: img[("F", t)],
+                              lambda mu: alg.K(alg.rd.reflect(i, mu)),
+                              lambda t: img[("E", t)])
 
     def apply_word(self, word, a: Element, direction: int = +1) -> Element:
         """T_w for w = s_{word[0]} ... s_{word[-1]} as a reduced expression

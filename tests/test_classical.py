@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from qcartan.classical import (bracket, cayley_on_triple, chevalley_matrices,
-                               classical_nested, is_zero, matrix_root_vector,
-                               mscale, msub, unit, verify_classical_cartan)
+                               is_zero, matrix_root_vector, mscale, msub,
+                               unit, verify_classical_cartan)
 from qcartan.involutions import gamma_theta
 from qcartan.rootsys import build_root_data
 
@@ -70,16 +70,6 @@ def test_root_vectors_are_weight_vectors(family, rank):
                 val = sign * rd.pairing(beta, i)
                 assert is_zero(msub(bracket(h[i], m),
                                     mscale(m, Fraction(val))))
-
-
-def test_classical_nested():
-    m = classical_nested("A", 3, (-1, -2, -3))
-    nz = [(i, j) for i in range(4) for j in range(4) if m[i][j]]
-    assert nz == [(3, 0)]
-    assert classical_nested("A", 2, (-1,)) == chevalley_matrices("A", 2)[1][0]
-    assert is_zero(classical_nested("A", 2, (-1, -2, -2)))
-    with pytest.raises(ValueError):
-        classical_nested("A", 2, ())
 
 
 CLASSICAL_PAIRS = []

@@ -123,6 +123,20 @@ def test_theta_system_command(capsys):
     assert all(data["checks"].values())
 
 
+def test_theta_system_json_reports_built_pair(capsys):
+    # an alias resolves to its family, and the rank a label fixes is filled in
+    rc, out = run(["theta-system", "--pair", "AIV", "--n", "3", "--json"],
+                  capsys)
+    assert rc == 0
+    data = json.loads(out)
+    assert (data["pair"], data["n"], data["r"]) == ("AIII", 3, 1)
+    _, bare = run(["theta-system", "--pair", "EI", "--json"], capsys)
+    _, ranked = run(["theta-system", "--pair", "EI", "--n", "6", "--json"],
+                    capsys)
+    assert bare == ranked
+    assert json.loads(bare)["n"] == 6
+
+
 def test_classical_command(capsys):
     rc, out = run(["classical-cartan", "--pair", "BI", "--n", "3", "--r", "3"],
                   capsys)

@@ -9,7 +9,7 @@ from qcartan.classical import mat_vec, matrix_root_vector
 from qcartan.coideal import (cartan_element, q_comm, specialize_to_matrix,
                              verify_cartan_suite)
 from qcartan.involutions import gamma_theta
-from qcartan.linalg import vec_ratio
+from qcartan.linalg import Echelon, vec_ratio
 from qcartan.qfield import ONE, QRat, qvar
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -304,6 +304,39 @@ def test_cartan_reports_other_families():
             for b in range(a + 1, len(hs)):
                 assert (hs[a] * hs[b] - hs[b] * hs[a]).is_zero(), \
                     (label, n, r, a + 1, b + 1)
+
+
+def test_case5_membership_goes_through_ad_F_alpha_prime():
+    # CII-1(3,2): beta = (1,2,1), alpha = 2, alpha' = 1.  The plain
+    # ad-span at beta is 2-dimensional and the alpha'-span a line inside it,
+    # so the alpha' step is what tells them apart
+    par = shared_params("CII-1", 3, 2)
+    ts = gamma_theta("CII-1", 3, 2)
+    alg, rd = par.algebra, par.algebra.rd
+    j, entry = next((j, e) for j, e in enumerate(ts.entries, start=1)
+                    if e.case == 5)
+    beta, ab, abp = entry.beta, entry.alpha_beta, entry.alpha_beta_prime
+    assert (beta, ab, abp) == ((1, 2, 1), 2, 1)
+    nu = rd.fundamental_weights[ab - 1]
+    start = alg.K(tuple(-2 * c for c in nu))
+    plain = alg.ad_span("-", beta, start)
+    rest = tuple(b - a for b, a in zip(beta, rd.simple(abp)))
+    through = Echelon()
+    for y in alg.ad_span("-", rest, start):
+        through.add(alg.ad_F(abp, y).terms)
+    assert len(plain) == 2 and len(through) == 1
+    assert not through.contains(plain[0].terms)
+    shift = tuple(2 * c - b for b, c in zip(beta, nu))
+    x = plain[0] * alg.K(shift)
+    assert alg.ad_submodule_membership(x, ab, "-")
+    assert not alg.ad_submodule_membership(x, ab, "-", abp)
+    rep = cartan_element(par, ts, j)
+    assert rep.checks["Y_through_ad_F_alpha_prime"]
+    assert alg.ad_submodule_membership(rep.Y, ab, "-", abp)
+    words = alg.weight_space_elements("-", beta)
+    assert len(words) == 7
+    assert not any(alg.ad_submodule_membership(w, ab, "-", abp)
+                   for w in words)
 
 
 def test_specialization_failure_keeps_reason():
