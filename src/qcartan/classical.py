@@ -5,6 +5,10 @@ generators for types A-D, one root vector e_beta or f_{-beta} per positive
 root (the target every q = 1 specialization is compared with), the
 commutativity and dimension check for the fixed-part Cartan construction,
 and the Cayley transform check inside an sl2-triple over Q(sqrt 2).
+
+A matrix is a `linalg` sparse vector: a dict {(row, col): entry} that
+stores no zero entry, so sums, scalings, rank and proportionality are the
+vector operations and a matrix is zero exactly when it is empty.
 """
 
 from __future__ import annotations
@@ -12,57 +16,31 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .involutions import ThetaSystem, max_strongly_orthogonal
-from .linalg import Echelon, vec_ratio
+from .linalg import (Echelon, _accumulate, vec_add, vec_ratio, vec_scale,
+                     vec_sub_scaled)
 from .rootsys import build_root_data
 
-Matrix = tuple  # of tuples of Fractions
+Matrix = dict  # {(row, col): entry}, no zero entries
 
 
-def zeros(n: int) -> Matrix:
-    return tuple((Fraction(0),) * n for _ in range(n))
-
-
-def unit(n: int, i: int, j: int, c=1) -> Matrix:
-    return tuple(tuple(Fraction(c) if (a, b) == (i, j) else Fraction(0)
-                       for b in range(n)) for a in range(n))
-
-
-def madd(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
-
-
-def mscale(a: Matrix, c) -> Matrix:
-    return tuple(tuple(x * c for x in row) for row in a)
-
-
-def msub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
+def unit(i: int, j: int, c=1) -> Matrix:
+    return {(i, j): Fraction(c)}
 
 
 def mmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col) if x and y)
-                       for col in bt) for row in a)
+    """The product ab, over Q or over Q(sqrt 2)."""
+    rows: dict = {}
+    for (k, j), y in b.items():
+        rows.setdefault(k, []).append((j, y))
+    out: Matrix = {}
+    for (i, k), x in a.items():
+        for j, y in rows.get(k, ()):
+            _accumulate(out, (i, j), x * y)
+    return out
 
 
 def bracket(a: Matrix, b: Matrix) -> Matrix:
-    return msub(mmul(a, b), mmul(b, a))
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
-def is_zero(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
-
-
-def mat_vec(a: Matrix) -> dict:
-    """Flatten to a sparse coordinate vector for rank computations."""
-    return {(i, j): x for i, row in enumerate(a)
-            for j, x in enumerate(row) if x}
+    return vec_sub_scaled(mmul(a, b), mmul(b, a), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -72,43 +50,36 @@ def chevalley_matrices(family: str, rank: int):
     """Generators (e, f, h) of the standard realization; types A-D."""
     n = rank
     if family == "A":
-        m = n + 1
-        e = [unit(m, i, i + 1) for i in range(n)]
-        f = [unit(m, i + 1, i) for i in range(n)]
+        e = [unit(i, i + 1) for i in range(n)]
+        f = [unit(i + 1, i) for i in range(n)]
     elif family == "B":
         # indices: 0 is the middle coordinate, 1..n and n+1..2n (= 1'..n')
-        m = 2 * n + 1
-
         def pr(i):
             return n + i
         e, f = [], []
         for i in range(1, n):
-            e.append(madd(unit(m, i, i + 1), unit(m, pr(i + 1), pr(i), -1)))
-            f.append(madd(unit(m, i + 1, i), unit(m, pr(i), pr(i + 1), -1)))
-        e.append(madd(unit(m, n, 0), unit(m, 0, pr(n), -1)))
-        f.append(madd(unit(m, 0, n, 2), unit(m, pr(n), 0, -2)))
+            e.append(vec_add(unit(i, i + 1), unit(pr(i + 1), pr(i), -1)))
+            f.append(vec_add(unit(i + 1, i), unit(pr(i), pr(i + 1), -1)))
+        e.append(vec_add(unit(n, 0), unit(0, pr(n), -1)))
+        f.append(vec_add(unit(0, n, 2), unit(pr(n), 0, -2)))
     elif family == "C":
-        m = 2 * n
-
         def pr(i):
             return n + i - 1
         e, f = [], []
         for i in range(1, n):
-            e.append(madd(unit(m, i - 1, i), unit(m, pr(i + 1), pr(i), -1)))
-            f.append(madd(unit(m, i, i - 1), unit(m, pr(i), pr(i + 1), -1)))
-        e.append(unit(m, n - 1, pr(n)))
-        f.append(unit(m, pr(n), n - 1))
+            e.append(vec_add(unit(i - 1, i), unit(pr(i + 1), pr(i), -1)))
+            f.append(vec_add(unit(i, i - 1), unit(pr(i), pr(i + 1), -1)))
+        e.append(unit(n - 1, pr(n)))
+        f.append(unit(pr(n), n - 1))
     elif family == "D":
-        m = 2 * n
-
         def pr(i):
             return n + i - 1
         e, f = [], []
         for i in range(1, n):
-            e.append(madd(unit(m, i - 1, i), unit(m, pr(i + 1), pr(i), -1)))
-            f.append(madd(unit(m, i, i - 1), unit(m, pr(i), pr(i + 1), -1)))
-        e.append(madd(unit(m, n - 2, pr(n)), unit(m, n - 1, pr(n - 1), -1)))
-        f.append(madd(unit(m, pr(n), n - 2), unit(m, pr(n - 1), n - 1, -1)))
+            e.append(vec_add(unit(i - 1, i), unit(pr(i + 1), pr(i), -1)))
+            f.append(vec_add(unit(i, i - 1), unit(pr(i), pr(i + 1), -1)))
+        e.append(vec_add(unit(n - 2, pr(n)), unit(n - 1, pr(n - 1), -1)))
+        f.append(vec_add(unit(pr(n), n - 2), unit(pr(n - 1), n - 1, -1)))
     else:
         raise ValueError("no matrix realization for family %r" % family)
     h = [bracket(ei, fi) for ei, fi in zip(e, f)]
@@ -136,7 +107,7 @@ def matrix_root_vector(family: str, rank: int, beta, sign: int = +1) -> Matrix:
         raise AssertionError("no peelable index for %r" % (b,))
 
     out = build(beta)
-    if is_zero(out):
+    if not out:
         raise AssertionError("vanishing root vector for %r" % (beta,))
     return out
 
@@ -151,17 +122,15 @@ def _theta_matrix_map(ts: ThetaSystem):
     fam, n = inv.rd.family, inv.rd.rank
     if fam != "A":
         return None
-    m = n + 1
     if inv.pair == "AI":
-        return lambda x: mscale(transpose(x), -1)
+        return lambda x: {(j, i): -c for (i, j), c in x.items()}
     if inv.pair == "AIII":
+        # conjugation by the permutation swapping i - 1 and n + 1 - i, i <= r
         r = inv.params[1]
-        perm = list(range(m))
+        perm = list(range(n + 1))
         for i in range(1, r + 1):
-            perm[i - 1], perm[m - i] = perm[m - i], perm[i - 1]
-        pm = tuple(tuple(Fraction(1 if perm[a] == b else 0)
-                         for b in range(m)) for a in range(m))
-        return lambda x: mmul(mmul(pm, x), pm)
+            perm[i - 1], perm[n + 1 - i] = perm[n + 1 - i], perm[i - 1]
+        return lambda x: {(perm[i], perm[j]): c for (i, j), c in x.items()}
     return None
 
 
@@ -178,9 +147,9 @@ def verify_classical_cartan(ts: ThetaSystem) -> dict:
     theta = _theta_matrix_map(ts)
 
     def h_combo(span):
-        out = zeros(len(h[0]))
+        out = {}
         for i, c in span.items():
-            out = madd(out, mscale(h[i - 1], Fraction(c)))
+            out = vec_add(out, vec_scale(h[i - 1], Fraction(c)))
         return out
 
     basis = [h_combo(span) for span in inv.h_theta]
@@ -190,19 +159,18 @@ def verify_classical_cartan(ts: ThetaSystem) -> dict:
         eb = matrix_root_vector(fam, n, entry.beta, +1)
         fb = matrix_root_vector(fam, n, entry.beta, -1)
         if theta is not None:
-            img = theta(eb)
             # the normalization theta(e_beta) = f_{-beta} holds up to a
             # recorded scalar in this realization
-            ratio = vec_ratio(mat_vec(img), mat_vec(fb))
+            ratio = vec_ratio(theta(eb), fb)
             if ratio is None:
                 sign_ok = False
-                basis.append(madd(eb, fb))
+                basis.append(vec_add(eb, fb))
                 signs.append(None)
             else:
-                basis.append(madd(eb, mscale(fb, ratio)))
+                basis.append(vec_add(eb, vec_scale(fb, ratio)))
                 signs.append(ratio)
         else:
-            basis.append(madd(eb, fb))
+            basis.append(vec_add(eb, fb))
             signs.append(Fraction(1))
     if theta is not None:
         checks["theta_maps_e_to_f_line"] = sign_ok
@@ -212,13 +180,13 @@ def verify_classical_cartan(ts: ThetaSystem) -> dict:
     ok = True
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if not is_zero(bracket(basis[i], basis[j])):
+            if bracket(basis[i], basis[j]):
                 ok = False
     checks["pairwise_commuting"] = ok
 
     ech = Echelon()
     for x in basis:
-        ech.add(mat_vec(x))
+        ech.add(x)
     checks["dimension"] = (len(ech) == inv.dim_h_theta() + len(ts.entries))
     checks["expected_dimension_matches_rank"] = (
         len(ech) == inv.dim_h_theta() + max_strongly_orthogonal(inv))
@@ -269,21 +237,12 @@ class Sqrt2:
 
 
 def _s2mat(rows):
-    return tuple(tuple(x if isinstance(x, Sqrt2) else Sqrt2(x) for x in row)
-                 for row in rows)
+    return {(i, j): x if isinstance(x, Sqrt2) else Sqrt2(x)
+            for i, row in enumerate(rows) for j, x in enumerate(row) if x}
 
 
-def _s2mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(
-        _s2sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def _s2sum(items):
-    out = Sqrt2(0)
-    for x in items:
-        out = out + x
-    return out
+def _s2trace(m):
+    return sum((x for (i, j), x in m.items() if i == j), Sqrt2(0))
 
 
 def cayley_on_triple() -> dict:
@@ -296,21 +255,15 @@ def cayley_on_triple() -> dict:
     half = Sqrt2(0, Fraction(1, 2))     # sqrt(2)/2 = cos(pi/4) = sin(pi/4)
     r = _s2mat([[half, -half], [half, half]])
     rinv = _s2mat([[half, half], [-half, half]])
-    e = _s2mat([[0, 1], [0, 0]])
-    f = _s2mat([[0, 0], [1, 0]])
     hm = _s2mat([[1, 0], [0, -1]])
-    conj = _s2mul(_s2mul(r, hm), rinv)
     ef = _s2mat([[0, 1], [1, 0]])
-    checks = {
-        "rotation_is_orthogonal": _s2mul(r, rinv) == _s2mat([[1, 0], [0, 1]]),
-        "sends_h_to_e_plus_f": conj == ef,
-        "fixes_rotation_axis": _s2mul(_s2mul(r, _s2mat([[0, -1], [1, 0]])),
-                                      rinv) == _s2mat([[0, -1], [1, 0]]),
-        "fixes_centralizer": _s2mul(_s2mul(r, _s2mat([[3, 0], [0, 3]])),
-                                    rinv) == _s2mat([[3, 0], [0, 3]]),
-        "trace_preserved": _s2sum(ef[i][i] for i in range(2)) ==
-                           _s2sum(hm[i][i] for i in range(2)) and
-                           _s2sum(_s2mul(ef, ef)[i][i] for i in range(2)) ==
-                           _s2sum(_s2mul(hm, hm)[i][i] for i in range(2)),
+    axis = _s2mat([[0, -1], [1, 0]])
+    centre = _s2mat([[3, 0], [0, 3]])
+    return {
+        "rotation_is_orthogonal": mmul(r, rinv) == _s2mat([[1, 0], [0, 1]]),
+        "sends_h_to_e_plus_f": mmul(mmul(r, hm), rinv) == ef,
+        "fixes_rotation_axis": mmul(mmul(r, axis), rinv) == axis,
+        "fixes_centralizer": mmul(mmul(r, centre), rinv) == centre,
+        "trace_preserved": _s2trace(ef) == _s2trace(hm) and
+                           _s2trace(mmul(ef, ef)) == _s2trace(mmul(hm, hm)),
     }
-    return checks

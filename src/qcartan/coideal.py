@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classical import (chevalley_matrices, madd, mat_vec,
-                        matrix_root_vector, mmul, mscale, zeros)
+from .classical import chevalley_matrices, matrix_root_vector, mmul
 from .involutions import Involution, ThetaSystem
-from .linalg import Echelon, vec_ratio
+from .linalg import Echelon, vec_add, vec_ratio, vec_scale
 from .qfield import ONE, QRat, ZERO
 from .uqalgebra import Algebra, Element, LusztigT, _as_qrat, q_comm
 
@@ -400,7 +399,7 @@ def specialize_to_matrix(alg: Algebra, x: Element, side: str):
     rd = alg.rd
     e, f, h = chevalley_matrices(rd.family, rd.rank)
     gens = f if side == "-" else e
-    out = zeros(len(e[0]))
+    out = {}
     for u, v, val in alg.specialize_words(x):
         word = u if side == "-" else v
         if not word:
@@ -408,7 +407,7 @@ def specialize_to_matrix(alg: Algebra, x: Element, side: str):
         m = gens[word[0] - 1]
         for t in word[1:]:
             m = mmul(m, gens[t - 1])
-        out = madd(out, mscale(m, val))
+        out = vec_add(out, vec_scale(m, val))
     return out
 
 
@@ -417,8 +416,7 @@ def _specialization_ratio(alg: Algebra, x: Element, beta, sign: int):
     (sign +1) in the classical realization, or None if there is none."""
     rd = alg.rd
     xmat = specialize_to_matrix(alg, x, "-" if sign < 0 else "+")
-    return vec_ratio(mat_vec(xmat), mat_vec(
-        matrix_root_vector(rd.family, rd.rank, beta, sign)))
+    return vec_ratio(xmat, matrix_root_vector(rd.family, rd.rank, beta, sign))
 
 
 def _specialization_checks(alg: Algebra, entry, Y: Element, X: Element,

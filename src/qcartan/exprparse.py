@@ -123,7 +123,10 @@ class Parser:
         den = 1
         if self.peek()[:2] == ("SYM", "/"):
             self.take()
-            den = int(self.take("NUM")[1])
+            _, d, pos = self.take("NUM")
+            den = int(d)
+            if not den:
+                raise SyntaxError("zero denominator at position %d" % pos)
         return Fraction(sign * num, den)
 
     def gen_atom(self):
@@ -154,12 +157,7 @@ class Parser:
     def atom(self):
         k, v, pos = self.peek()
         if k == "NUM":
-            self.take()
-            if self.peek()[:2] == ("SYM", "/"):
-                self.take()
-                den = int(self.take("NUM")[1])
-                return ("num", Fraction(int(v), den))
-            return ("num", Fraction(int(v)))
+            return ("num", self.rational())
         if k == "SYM" and v == "-":
             self.take()
             return ("neg", self.factor())
@@ -253,6 +251,8 @@ class Evaluator:
             n = node[2]
             if n < 0:
                 sc = self._as_scalar(base)
+                if not sc:
+                    raise ValueError("cannot invert a zero scalar")
                 base, n = alg.scalar(sc.inverse()), -n
             out = alg.one()
             for _ in range(n):

@@ -365,16 +365,6 @@ def _shape_case(inv: Involution, beta: Weight, ab: int, abp: int):
     return None
 
 
-def classify_case(ts: ThetaSystem, j: int) -> int:
-    """Recompute the structural case of beta_j from the shape equations."""
-    e = ts.entries[j - 1]
-    got = _shape_case(ts.involution, e.beta, e.alpha_beta,
-                      e.alpha_beta_prime)
-    if got is None:
-        raise ValueError("no structural case matches beta_%d" % j)
-    return got
-
-
 def verify_theta_system(ts: ThetaSystem) -> dict:
     """Run every named structural condition; returns a report of booleans."""
     rd, inv = ts.rd, ts.involution

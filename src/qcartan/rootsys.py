@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import kernel_basis
+
 Weight = tuple  # of ints, or of Fractions off the root lattice
 
 _POSITIVE_ROOT_COUNTS = {
@@ -202,8 +204,6 @@ class RootData:
 
 def _valid(family: str, rank: int) -> bool:
     lo = {"A": 1, "B": 2, "C": 2, "D": 4, "F": 4, "G": 2}
-    if family in ("B", "C") and rank == 2 or family == "A":
-        return rank >= lo.get(family, 1)
     if family == "E":
         return rank in (6, 7, 8)
     if family in ("F", "G"):
@@ -253,24 +253,14 @@ def build_root_data(family: str, rank: int) -> RootData:
 
 
 def _solve_fundamental(rd: RootData, i: int) -> Weight:
-    # Gaussian solve of sum_k c_k (alpha_k, alpha_j) = delta_ij d_j
+    # x with sum_k x_k (alpha_k, alpha_j) = delta_ij d_j is -c_k / c_n for
+    # the one kernel vector c of the columns (alpha_k, alpha_j)_j and the
+    # right-hand side
     n = rd.rank
-    m = [[Fraction(rd.d[j] * rd.cartan[j][k]) for k in range(n)]
-         for j in range(n)]
-    rhs = [Fraction(rd.d[j] if j == i else 0) for j in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col])
-        m[col], m[piv] = m[piv], m[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        rhs[col] *= inv
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                rhs[r] -= f * rhs[col]
-    return tuple(rhs)
+    cols = [{j: Fraction(rd.d[j] * rd.cartan[j][k]) for j in range(n)
+             if rd.cartan[j][k]} for k in range(n)]
+    (c,) = kernel_basis(cols + [{i: Fraction(rd.d[i])}])
+    return tuple(-c.get(k, Fraction(0)) / c[n] for k in range(n))
 
 
 @lru_cache(maxsize=None)

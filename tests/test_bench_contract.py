@@ -1,0 +1,69 @@
+"""Every qcartan name the benchmark reaches resolves.
+
+`bench/tracing.py` wraps functions by (layer, qualified name), and
+`bench/workloads.py` calls into the layers through module attributes
+(`coideal.cartan_element`).  A rename in `src/` that drops one of those
+names fails here, in the tier-1 suite, not only when the benchmark runs.
+"""
+
+import ast
+import importlib
+import os
+import sys
+
+from qcartan.uqalgebra import Algebra
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench")
+if BENCH not in sys.path:
+    sys.path.append(BENCH)
+
+from tracing import PRIVATE, SUBREGIONS, Tracer  # noqa: E402
+
+
+def _resolve(module: str, dotted: str):
+    obj = importlib.import_module(module)
+    for part in dotted.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def _workload_references() -> set:
+    """(module, dotted attribute) for each `module.attr...` chain in
+    bench/workloads.py whose head is a qcartan module it imports."""
+    with open(os.path.join(BENCH, "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    modules = {alias.asname or alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "qcartan"
+               for alias in node.names}
+    refs = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in modules:
+            refs.add(("qcartan." + node.id, ".".join(reversed(parts))))
+    return refs
+
+
+def test_traced_names_resolve():
+    names = set(SUBREGIONS) | PRIVATE | set(Tracer()._hooks())
+    assert len(names) >= 19
+    for layer, qual in sorted(names):
+        assert callable(_resolve("qcartan." + layer, qual)), (layer, qual)
+
+
+def test_workload_references_resolve():
+    refs = _workload_references()
+    # chains such as rootsys.build_root_data.cache_clear count once, by
+    # their first attribute
+    assert len({(mod, dotted.split(".")[0]) for mod, dotted in refs}) >= 18
+    for mod, dotted in sorted(refs):
+        _resolve(mod, dotted)
+
+
+def test_oracle_reads_npow():
+    # bench/oracle.py refuses an algebra whose npow is not 1
+    assert Algebra.npow == 1

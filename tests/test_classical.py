@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from qcartan.classical import (bracket, cayley_on_triple, chevalley_matrices,
-                               is_zero, matrix_root_vector, mscale, msub,
-                               unit, verify_classical_cartan)
+                               matrix_root_vector, mmul, unit,
+                               verify_classical_cartan)
 from qcartan.involutions import gamma_theta
+from qcartan.linalg import vec_scale, vec_sub_scaled
 from qcartan.rootsys import build_root_data
 
 REALIZATIONS = [("A", n) for n in range(1, 6)] + \
@@ -15,9 +17,49 @@ REALIZATIONS = [("A", n) for n in range(1, 6)] + \
 
 def test_sl2_matrix_units():
     e, f, h = chevalley_matrices("A", 1)
-    assert e[0] == unit(2, 0, 1)
-    assert f[0] == unit(2, 1, 0)
-    assert h[0] == msub(unit(2, 0, 0), unit(2, 1, 1))
+    assert e[0] == unit(0, 1)
+    assert f[0] == unit(1, 0)
+    assert h[0] == vec_sub_scaled(unit(0, 0), unit(1, 1), 1)
+
+
+def _dense(m, size):
+    return [[m.get((i, j), 0) for j in range(size)] for i in range(size)]
+
+
+def _dense_product(a, b):
+    size = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(size))
+             for j in range(size)] for i in range(size)]
+
+
+def _random_matrix(rng, size):
+    # sparse, with small entries of both signs, so products often cancel
+    return {(i, j): Fraction(rng.choice((-2, -1, 1, 3)))
+            for i in range(size) for j in range(size) if rng.random() < 0.4}
+
+
+def test_sparse_product_matches_dense_triple_loop():
+    rng = random.Random(20240607)
+    cancelled = 0
+    for _ in range(300):
+        size = rng.randint(1, 6)
+        a, b = _random_matrix(rng, size), _random_matrix(rng, size)
+        da, db = _dense(a, size), _dense(b, size)
+        ab, ba = _dense_product(da, db), _dense_product(db, da)
+        assert _dense(mmul(a, b), size) == ab
+        assert _dense(bracket(a, b), size) == \
+            [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
+        for m in (mmul(a, b), mmul(b, a), bracket(a, b)):
+            assert all(m.values()), "a zero entry is stored"
+        cancelled += any(not x and any(da[i][k] and db[k][j]
+                                       for k in range(size))
+                         for i, row in enumerate(ab)
+                         for j, x in enumerate(row))
+    assert cancelled > 20
+    # (E_00 - E_01)(E_00 + E_10): its one possible entry cancels
+    x = vec_sub_scaled(unit(0, 0), unit(0, 1), 1)
+    y = {(0, 0): Fraction(1), (1, 0): Fraction(1)}
+    assert mmul(x, y) == {} and bracket(x, x) == {}
 
 
 @pytest.mark.parametrize("family,rank", REALIZATIONS)
@@ -25,33 +67,31 @@ def test_serre_presentation(family, rank):
     rd = build_root_data(family, rank)
     e, f, h = chevalley_matrices(family, rank)
     for i in range(rank):
-        assert is_zero(msub(bracket(e[i], f[i]), h[i]))
+        assert bracket(e[i], f[i]) == h[i]
         for j in range(rank):
             if i == j:
                 continue
-            assert is_zero(bracket(e[i], f[j]))
+            assert not bracket(e[i], f[j])
             a = rd.cartan[i][j]
-            assert is_zero(msub(bracket(h[i], e[j]), mscale(e[j], a)))
-            assert is_zero(msub(bracket(h[i], f[j]), mscale(f[j], -a)))
+            assert bracket(h[i], e[j]) == vec_scale(e[j], a)
+            assert bracket(h[i], f[j]) == vec_scale(f[j], -a)
             x, y = e[j], f[j]
             for _ in range(1 - a):
                 x, y = bracket(e[i], x), bracket(f[i], y)
-            assert is_zero(x) and is_zero(y)
+            assert not x and not y
 
 
 def test_c2_long_root_action():
     e, f, h = chevalley_matrices("C", 2)
-    assert is_zero(msub(bracket(h[1], e[1]), mscale(e[1], 2)))
+    assert bracket(h[1], e[1]) == vec_scale(e[1], 2)
 
 
 def test_matrix_root_vectors():
     rd = build_root_data("A", 3)
     m = matrix_root_vector("A", 3, rd.weight((1, 1, 0)))
-    nz = [(i, j) for i in range(4) for j in range(4) if m[i][j]]
-    assert nz == [(0, 2)] and abs(m[0][2]) == 1
+    assert list(m) == [(0, 2)] and abs(m[0, 2]) == 1
     m = matrix_root_vector("A", 3, rd.weight((1, 1, 1)), -1)
-    nz = [(i, j) for i in range(4) for j in range(4) if m[i][j]]
-    assert nz == [(3, 0)] and abs(m[3][0]) == 1
+    assert list(m) == [(3, 0)] and abs(m[3, 0]) == 1
     assert matrix_root_vector("A", 3, rd.simple(2)) == \
         chevalley_matrices("A", 3)[0][1]
     with pytest.raises(ValueError):
@@ -68,8 +108,7 @@ def test_root_vectors_are_weight_vectors(family, rank):
             m = matrix_root_vector(family, rank, beta, sign)
             for i in range(rank):
                 val = sign * rd.pairing(beta, i)
-                assert is_zero(msub(bracket(h[i], m),
-                                    mscale(m, Fraction(val))))
+                assert bracket(h[i], m) == vec_scale(m, Fraction(val))
 
 
 CLASSICAL_PAIRS = []
@@ -119,8 +158,8 @@ def test_aiii_case3_strong_orthogonality_brackets():
                 continue
             fb = matrix_root_vector("A", n, entry.beta, -1)
             for s in rd.strorth_simples(entry.beta):
-                assert is_zero(bracket(e[s - 1], fb))
-                assert is_zero(bracket(f[s - 1], fb))
+                assert not bracket(e[s - 1], fb)
+                assert not bracket(f[s - 1], fb)
 
 
 def test_cayley_transform():

@@ -304,3 +304,14 @@ def test_k_exponent_in_weight_lattice(capsys):
                    "--expr", "E1 K[2/3,1/3]"], capsys)
     assert rc == 0
     assert out == "q^-1 K[2/3,1/3] E1\n"
+
+
+@pytest.mark.parametrize("expr", ["1/0", "K[1/0,0]", "(q - q)^-1"])
+def test_zero_denominator_exit_code(capsys, expr):
+    rc = main(["normal-form", "--family", "A", "--rank", "2",
+               "--expr", expr])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

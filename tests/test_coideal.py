@@ -5,7 +5,7 @@ import random
 import pytest
 from conftest import shared_params
 
-from qcartan.classical import mat_vec, matrix_root_vector
+from qcartan.classical import matrix_root_vector
 from qcartan.coideal import (cartan_element, q_comm, specialize_to_matrix,
                              verify_cartan_suite)
 from qcartan.involutions import gamma_theta
@@ -198,9 +198,8 @@ def test_lift_cases():
     parb = shared_params("BI", 2, 1)
     tsb = gamma_theta("BI", 2, 1)
     Y = parb.lift_Y(tsb, 1)
-    ratio = vec_ratio(
-        mat_vec(specialize_to_matrix(parb.algebra, Y, "-")),
-        mat_vec(matrix_root_vector("B", 2, tsb.entries[0].beta, -1)))
+    ratio = vec_ratio(specialize_to_matrix(parb.algebra, Y, "-"),
+                      matrix_root_vector("B", 2, tsb.entries[0].beta, -1))
     assert ratio is not None and ratio != 0
     # case 2 and case 5 lifts exist and are weight vectors
     parc = shared_params("CII-1", 3, 2)

@@ -8,9 +8,9 @@ from pair_cases import ALL_CASES
 
 from qcartan.involutions import (PAIR_LABELS, GammaEntry, ThetaSystem,
                                  build_involution, classical_cartan_symbolic,
-                                 classify_case, delta_theta,
-                                 format_symbolic_basis, gamma_theta,
-                                 max_strongly_orthogonal, verify_theta_system)
+                                 delta_theta, format_symbolic_basis,
+                                 gamma_theta, max_strongly_orthogonal,
+                                 verify_theta_system)
 
 PINNED = {(row["pair"], row["n"], row["r"]): row for row in json.loads(
     (pathlib.Path(__file__).parent / "golden" / "pair_tables.json")
@@ -163,13 +163,13 @@ def test_tables_verify(label, n, r):
 
 
 def test_classify_examples():
-    assert classify_case(gamma_theta("AIII", 3, 2), 1) == 3
+    assert gamma_theta("AIII", 3, 2).entries[0].case == 3
     ts = gamma_theta("CII-1", 6, 4)
-    assert all(classify_case(ts, j) == 5 for j in range(1, len(ts) + 1))
+    assert all(e.case == 5 for e in ts.entries)
     ts = gamma_theta("BI", 5, 3)
-    assert [classify_case(ts, j) for j in range(1, len(ts) + 1)] == [2, 1, 4]
+    assert [e.case for e in ts.entries] == [2, 1, 4]
     ts = gamma_theta("BI", 5, 5)  # r = n odd: the last root degenerates
-    assert classify_case(ts, len(ts)) == 1
+    assert ts.entries[-1].case == 1
 
 
 def test_classify_case_mults():

@@ -45,8 +45,25 @@ def test_inner_dimension_mismatch():
         a2.inner((1,), (1, 0))
 
 
+# every root system build_root_data accepts, up to rank 8
+ROOT_SYSTEMS = [("A", n) for n in range(1, 9)] + \
+    [(fam, n) for fam in "BC" for n in range(2, 9)] + \
+    [("D", n) for n in range(4, 9)] + [("E", 6), ("E", 7), ("E", 8),
+                                        ("F", 4), ("G", 2)]
+
+
+def _accepted(fam, n):
+    try:
+        build_root_data(fam, n)
+    except ValueError:
+        return False
+    return True
+
+
 def test_fundamental_weights():
-    for fam, n in TYPES:
+    assert [(fam, n) for fam in "ABCDEFG" for n in range(9)
+            if _accepted(fam, n)] == sorted(ROOT_SYSTEMS)
+    for fam, n in ROOT_SYSTEMS:
         rd = build_root_data(fam, n)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
