@@ -16,8 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .involutions import ThetaSystem, max_strongly_orthogonal
-from .linalg import (Echelon, _accumulate, vec_add, vec_ratio, vec_scale,
-                     vec_sub_scaled)
+from .linalg import Echelon, _accumulate, add_scaled, vec_ratio
 from .rootsys import build_root_data
 
 Matrix = dict  # {(row, col): entry}, no zero entries
@@ -40,7 +39,7 @@ def mmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def bracket(a: Matrix, b: Matrix) -> Matrix:
-    return vec_sub_scaled(mmul(a, b), mmul(b, a), 1)
+    return add_scaled(mmul(a, b), mmul(b, a), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -58,17 +57,17 @@ def chevalley_matrices(family: str, rank: int):
             return n + i
         e, f = [], []
         for i in range(1, n):
-            e.append(vec_add(unit(i, i + 1), unit(pr(i + 1), pr(i), -1)))
-            f.append(vec_add(unit(i + 1, i), unit(pr(i), pr(i + 1), -1)))
-        e.append(vec_add(unit(n, 0), unit(0, pr(n), -1)))
-        f.append(vec_add(unit(0, n, 2), unit(pr(n), 0, -2)))
+            e.append(add_scaled(unit(i, i + 1), unit(pr(i + 1), pr(i), -1)))
+            f.append(add_scaled(unit(i + 1, i), unit(pr(i), pr(i + 1), -1)))
+        e.append(add_scaled(unit(n, 0), unit(0, pr(n), -1)))
+        f.append(add_scaled(unit(0, n, 2), unit(pr(n), 0, -2)))
     elif family == "C":
         def pr(i):
             return n + i - 1
         e, f = [], []
         for i in range(1, n):
-            e.append(vec_add(unit(i - 1, i), unit(pr(i + 1), pr(i), -1)))
-            f.append(vec_add(unit(i, i - 1), unit(pr(i), pr(i + 1), -1)))
+            e.append(add_scaled(unit(i - 1, i), unit(pr(i + 1), pr(i), -1)))
+            f.append(add_scaled(unit(i, i - 1), unit(pr(i), pr(i + 1), -1)))
         e.append(unit(n - 1, pr(n)))
         f.append(unit(pr(n), n - 1))
     elif family == "D":
@@ -76,10 +75,10 @@ def chevalley_matrices(family: str, rank: int):
             return n + i - 1
         e, f = [], []
         for i in range(1, n):
-            e.append(vec_add(unit(i - 1, i), unit(pr(i + 1), pr(i), -1)))
-            f.append(vec_add(unit(i, i - 1), unit(pr(i), pr(i + 1), -1)))
-        e.append(vec_add(unit(n - 2, pr(n)), unit(n - 1, pr(n - 1), -1)))
-        f.append(vec_add(unit(pr(n), n - 2), unit(pr(n - 1), n - 1, -1)))
+            e.append(add_scaled(unit(i - 1, i), unit(pr(i + 1), pr(i), -1)))
+            f.append(add_scaled(unit(i, i - 1), unit(pr(i), pr(i + 1), -1)))
+        e.append(add_scaled(unit(n - 2, pr(n)), unit(n - 1, pr(n - 1), -1)))
+        f.append(add_scaled(unit(pr(n), n - 2), unit(pr(n - 1), n - 1, -1)))
     else:
         raise ValueError("no matrix realization for family %r" % family)
     h = [bracket(ei, fi) for ei, fi in zip(e, f)]
@@ -149,7 +148,7 @@ def verify_classical_cartan(ts: ThetaSystem) -> dict:
     def h_combo(span):
         out = {}
         for i, c in span.items():
-            out = vec_add(out, vec_scale(h[i - 1], Fraction(c)))
+            add_scaled(out, h[i - 1], Fraction(c))
         return out
 
     basis = [h_combo(span) for span in inv.h_theta]
@@ -158,20 +157,12 @@ def verify_classical_cartan(ts: ThetaSystem) -> dict:
     for entry in ts.entries:
         eb = matrix_root_vector(fam, n, entry.beta, +1)
         fb = matrix_root_vector(fam, n, entry.beta, -1)
-        if theta is not None:
-            # the normalization theta(e_beta) = f_{-beta} holds up to a
-            # recorded scalar in this realization
-            ratio = vec_ratio(theta(eb), fb)
-            if ratio is None:
-                sign_ok = False
-                basis.append(vec_add(eb, fb))
-                signs.append(None)
-            else:
-                basis.append(vec_add(eb, vec_scale(fb, ratio)))
-                signs.append(ratio)
-        else:
-            basis.append(vec_add(eb, fb))
-            signs.append(Fraction(1))
+        # the normalization theta(e_beta) = f_{-beta} holds up to a
+        # recorded scalar in this realization; with none, e_beta + f_{-beta}
+        ratio = Fraction(1) if theta is None else vec_ratio(theta(eb), fb)
+        sign_ok = sign_ok and ratio is not None
+        signs.append(ratio)
+        basis.append(add_scaled(dict(eb), fb, ratio))
     if theta is not None:
         checks["theta_maps_e_to_f_line"] = sign_ok
         checks["theta_fixes_basis"] = sign_ok and all(

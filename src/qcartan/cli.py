@@ -93,9 +93,15 @@ def cmd_equal(ns) -> int:
     alg, lhs = _eval(ns, ns.lhs)
     _, rhs = _eval(ns, ns.rhs)
     same = lhs == rhs
-    print("equal" if same else "different")
-    if not same and not ns.json:
-        print("difference:", alg.render(lhs - rhs))
+    if ns.json:
+        out = {"equal": same}
+        if not same:
+            out["difference"] = (lhs - rhs).to_json()
+        print(json.dumps(out))
+    else:
+        print("equal" if same else "different")
+        if not same:
+            print("difference:", alg.render(lhs - rhs))
     return 0 if same else 1
 
 
@@ -166,7 +172,10 @@ def cmd_member(ns) -> int:
         raise ValueError("member needs --pair")
     val = Evaluator(par.algebra, par).run(parse_expr(ns.expr))
     inside = par.membership(val)
-    print("member" if inside else "not a member")
+    if ns.json:
+        print(json.dumps({"member": inside}))
+    else:
+        print("member" if inside else "not a member")
     return 0 if inside else 1
 
 

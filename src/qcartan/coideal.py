@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .classical import chevalley_matrices, matrix_root_vector, mmul
 from .involutions import Involution, ThetaSystem
-from .linalg import Echelon, vec_add, vec_ratio, vec_scale
+from .linalg import Echelon, add_scaled, vec_ratio
 from .qfield import ONE, QRat, ZERO
 from .uqalgebra import Algebra, Element, LusztigT, _as_qrat, q_comm
 
@@ -53,7 +53,6 @@ class CoidealParams:
                 if val and val.eval_at_one()[0] < 0:
                     raise ValueError(
                         "parameter at index %d has a pole at q = 1" % i)
-        self._theta_q: dict = {}
         self._bgen: dict = {}
         self._bword: dict = {}
         self._lusztig = LusztigT(self.algebra)
@@ -62,9 +61,6 @@ class CoidealParams:
     def theta_q_FK(self, i: int) -> Element:
         """Highest-weight vector of the (ad M)-module generated by E_{p(i)},
         at weight theta(-alpha_i), normalized with lex-least coefficient 1."""
-        got = self._theta_q.get(i)
-        if got is not None:
-            return got
         inv, alg = self.involution, self.algebra
         rd = alg.rd
         if i in inv.pi_theta:
@@ -74,20 +70,17 @@ class CoidealParams:
         target = tuple(-c for c in inv.apply(rd.simple(i)))
         rest = tuple(t - s for t, s in zip(target, rd.simple(pi)))
         if not any(rest):
-            out = alg.E(pi)
-        else:
-            # (ad E-words) E_{p(i)} at the target weight; since
-            # theta(alpha_i) = -w_X(alpha_{p(i)}), Supp(rest) lies inside
-            # pi_theta, so only pi_theta letters occur
-            kerns = alg.ad_kernel(alg.ad_span("+", rest, alg.E(pi)),
-                                  [("E", j) for j in sorted(inv.pi_theta)])
-            if len(kerns) != 1:
-                raise AssertionError(
-                    "highest-weight space of (ad M)E_%d is %d-dimensional"
-                    % (pi, len(kerns)))
-            out = kerns[0]
-        self._theta_q[i] = out
-        return out
+            return alg.E(pi)
+        # (ad E-words) E_{p(i)} at the target weight; since
+        # theta(alpha_i) = -w_X(alpha_{p(i)}), Supp(rest) lies inside
+        # pi_theta, so only pi_theta letters occur
+        kerns = alg.ad_kernel(alg.ad_span("+", rest, alg.E(pi)),
+                              [("E", j) for j in sorted(inv.pi_theta)])
+        if len(kerns) != 1:
+            raise AssertionError(
+                "highest-weight space of (ad M)E_%d is %d-dimensional"
+                % (pi, len(kerns)))
+        return kerns[0]
 
     # -- generators -----------------------------------------------------------
     def B(self, i: int) -> Element:
@@ -146,10 +139,11 @@ class CoidealParams:
             raise ValueError("completion target must lie in U^- M^+ T_theta")
         if _depth > 4 * sum(len(t[0]) for t in target.terms) + 8:
             raise AssertionError("completion failed to terminate")
-        b = alg.zero()
+        terms: dict = {}
         for (u, mu, v), c in target.terms.items():
             tail = Element(alg, {((), mu, v): c})
-            b = b + self.B_word(u) * tail
+            add_scaled(terms, (self.B_word(u) * tail).terms)
+        b = Element(alg, terms)
         defect = self.project(b) - target
         if defect.is_zero():
             return b
@@ -407,7 +401,7 @@ def specialize_to_matrix(alg: Algebra, x: Element, side: str):
         m = gens[word[0] - 1]
         for t in word[1:]:
             m = mmul(m, gens[t - 1])
-        out = vec_add(out, vec_scale(m, val))
+        add_scaled(out, m, val)
     return out
 
 
@@ -594,18 +588,18 @@ def _express_in_h_primes(params: CoidealParams, hps: dict, ws: dict,
                          H: Element, j: int):
     """Solve H = sum_k H'_k t_k + t_0 with torus coefficients by peeling."""
     alg = params.algebra
-    resid = H
+    resid = dict(H.terms)
     sol = {}
     for k in sorted(hps):
         if k < j:
             continue
-        if resid.is_zero():
+        if not resid:
             break
         # collect the component at the l-weight of W_k
         wk = ws[k]
         wk_lweight = tuple(-c
                            for c in alg.ws.word_weight(min(wk.terms)[0]))
-        comp_terms = {t: c for t, c in resid.terms.items()
+        comp_terms = {t: c for t, c in resid.items()
                       if tuple(-cc for cc in alg.ws.word_weight(t[0]))
                       == wk_lweight}
         if not comp_terms:
@@ -616,7 +610,7 @@ def _express_in_h_primes(params: CoidealParams, hps: dict, ws: dict,
             if v:
                 return None
             groups.setdefault(mu, {})[u] = c
-        coeff = alg.zero()
+        coeff: dict = {}
         base = {t[0]: c for t, c in wk.terms.items()}
         for mu, vec in groups.items():
             ratio = vec_ratio(vec, base)
@@ -624,12 +618,12 @@ def _express_in_h_primes(params: CoidealParams, hps: dict, ws: dict,
                 return None
             if params.involution.apply(mu) != mu:
                 return None
-            coeff = coeff + alg.K(mu).scale(ratio)
-        sol[k] = coeff
-        resid = resid - hps[k] * coeff
+            add_scaled(coeff, alg.K(mu).terms, ratio)
+        sol[k] = Element(alg, coeff)
+        add_scaled(resid, (-(hps[k] * sol[k])).terms)
     # the remainder must be a torus polynomial with theta-fixed exponents
-    for (u, mu, v), c in resid.terms.items():
+    for (u, mu, v), c in resid.items():
         if u or v or params.involution.apply(mu) != mu:
             return None
-    sol[0] = resid
+    sol[0] = Element(alg, resid)
     return sol

@@ -21,8 +21,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .linalg import add_scaled
 from .qfield import QRat
-from .uqalgebra import LusztigT, q_comm
+from .uqalgebra import Element, LusztigT, q_comm
 
 _TOKEN = re.compile(r"""
     (?P<KIINV>Ki-(?=\d))
@@ -221,10 +222,10 @@ def parse_expr(text: str):
 class Evaluator:
     """Evaluates an AST against an engine session (and optional coideal)."""
 
-    def __init__(self, algebra, params=None, lusztig=None):
+    def __init__(self, algebra, params=None):
         self.alg = algebra
         self.params = params
-        self.lusztig = lusztig
+        self.lusztig = LusztigT(algebra)
 
     def run(self, node):
         alg = self.alg
@@ -236,11 +237,11 @@ class Evaluator:
         if kind == "neg":
             return -self.run(node[1])
         if kind == "sum":
-            out = alg.zero()
+            out: dict = {}
             for op, item in node[1]:
                 val = self.run(item)
-                out = out + val if op == "+" else out - val
-            return out
+                add_scaled(out, (val if op == "+" else -val).terms)
+            return Element(alg, out)
         if kind == "prod":
             out = self.run(node[1][0])
             for item in node[1][1:]:
@@ -277,8 +278,6 @@ class Evaluator:
         if kind == "func":
             return alg.apply_symmetry(node[1], self.run(node[2]))
         if kind == "lusztig":
-            if self.lusztig is None:
-                self.lusztig = LusztigT(alg)
             return self.lusztig.apply(node[1], node[2], self.run(node[3]))
         if kind == "ad":
             arg = self.run(node[2])

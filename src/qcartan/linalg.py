@@ -2,8 +2,10 @@
 
 Vectors are dicts mapping hashable coordinate keys to field elements; the
 field only needs +, -, *, /, unary -, and truthiness for "nonzero"
-(fractions.Fraction and qfield.QRat both qualify).  Pivoting is
-deterministic: the smallest key in sort order wins.
+(fractions.Fraction and qfield.QRat both qualify).  Every linear
+combination is formed in place by `add_scaled`.  Pivoting is
+deterministic: the smallest key in sort order wins, and `Echelon.add`
+returns the dependency relation that `kernel_basis` collects.
 """
 
 from __future__ import annotations
@@ -19,24 +21,14 @@ def _accumulate(out: dict, key, c):
         del out[key]
 
 
-def vec_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        _accumulate(out, k, v)
-    return out
-
-
-def vec_scale(a: dict, c) -> dict:
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
-def vec_sub_scaled(a: dict, b: dict, c) -> dict:
-    """a - c*b."""
-    out = dict(a)
-    for k, v in b.items():
-        _accumulate(out, k, -(c * v))
+def add_scaled(out: dict, vec: dict, c=None) -> dict:
+    """out += c*vec in place (c=None adds vec unscaled); returns out."""
+    if c is None:
+        for k, v in vec.items():
+            _accumulate(out, k, v)
+    elif c:
+        for k, v in vec.items():
+            _accumulate(out, k, v * c)
     return out
 
 
@@ -81,26 +73,24 @@ class Echelon:
             c = vec.get(pivot)
             if c:
                 row = self.rows[pivot]
-                c = c / row[pivot]
-                vec = vec_sub_scaled(vec, row, c)
+                c = -(c / row[pivot])
+                add_scaled(vec, row, c)
                 if combo is not None:
-                    combo = vec_sub_scaled(combo, self.combos[pivot], c)
+                    add_scaled(combo, self.combos[pivot], c)
         return vec, combo
 
-    def add(self, vec: dict, label=None):
-        """Insert a vector; returns (is_new, residual_combo).
+    def add(self, vec: dict):
+        """Insert a vector; returns (is_new, relation).
 
-        For a dependent vector with track=True, residual_combo expresses the
-        vector as a combination of previously added ones (label -> coeff).
+        Vectors are numbered 0, 1, ... in the order they are added.  For a
+        dependent vector with track=True, relation is a combination
+        (number -> coeff) of it and earlier vectors that vanishes, with the
+        vector's own coefficient 1; otherwise relation is None.
         """
-        tag = label if label is not None else self._count
+        combo = {self._count: _one_like(vec)} if self.track else None
         self._count += 1
-        combo = {tag: _one_like(vec)} if self.track else None
         vec, combo = self._reduce(vec, combo)
         if not vec:
-            if combo is not None and combo.get(tag) is not None:
-                one = combo.pop(tag)
-                combo = {k: -(v / one) for k, v in combo.items()}
             return False, combo
         pivot = min(vec)
         self.rows[pivot] = vec
@@ -125,15 +115,8 @@ def _one_like(vec: dict):
 def kernel_basis(columns: list[dict]) -> list[dict]:
     """Kernel of the linear map sending unit vector #j to columns[j].
 
-    Returns combination dicts (index -> coefficient) spanning the kernel.
+    Returns combination dicts (index -> coefficient) spanning the kernel,
+    one per dependent column, with that column's coefficient 1.
     """
     ech = Echelon(track=True)
-    out = []
-    for lab, col in enumerate(columns):
-        is_new, combo = ech.add(col, label=lab)
-        if not is_new:
-            # combo expresses col over earlier columns: col = sum combo[k]*col_k
-            kv = {k: -v for k, v in (combo or {}).items()}
-            kv[lab] = _one_like(col)
-            out.append(kv)
-    return out
+    return [rel for is_new, rel in map(ech.add, columns) if not is_new]

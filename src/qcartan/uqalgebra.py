@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .linalg import Echelon, _accumulate, kernel_basis, vec_add
+from .linalg import Echelon, _accumulate, add_scaled, kernel_basis
 from .qfield import ONE, QRat, format_qrat, q_factorial, q_power
 from .rootsys import RootData, build_root_data
 from .weightspaces import WeightSpaces
@@ -50,7 +50,7 @@ class Element:
 
     # -- ring structure ---------------------------------------------------
     def __add__(self, other):
-        return Element(self.alg, vec_add(self.terms, other.terms))
+        return Element(self.alg, add_scaled(dict(self.terms), other.terms))
 
     def __neg__(self):
         return Element(self.alg, {t: -c for t, c in self.terms.items()})
@@ -281,14 +281,14 @@ class Algebra:
     def substitute(self, a: Element, f, k, e, anti: bool = False) -> Element:
         """The image of a under the (anti)homomorphism sending F_t to f(t),
         K_mu to k(mu) and E_t to e(t), applied term by term."""
-        out = self.zero()
+        out: dict = {}
         for (u, mu, v), c in a.terms.items():
             factors = [f(t) for t in u] + [k(mu)] + [e(t) for t in v]
             acc = self.scalar(c)
             for g in (reversed(factors) if anti else factors):
                 acc = acc * g
-            out = out + acc
-        return out
+            add_scaled(out, acc.terms)
+        return Element(self, out)
 
     def kappa(self, a: Element) -> Element:
         """The quantum Chevalley antiautomorphism."""
@@ -409,10 +409,11 @@ class Algebra:
                    for x in vectors]
         out = []
         for combo in kernel_basis(columns):
-            x = self.zero()
+            # a zero column's own coefficient is the int 1
+            x: dict = {}
             for idx, c in combo.items():
-                x = x + vectors[idx].scale(c)
-            out.append(self.lex_normalize(x))
+                add_scaled(x, vectors[idx].terms, _as_qrat(c))
+            out.append(self.lex_normalize(Element(self, x)))
         return out
 
     def lex_normalize(self, x: Element) -> Element:
@@ -597,19 +598,18 @@ def lusztig_T_images(alg: Algebra, i: int, direction: int = +1) -> dict:
         if j == i:
             continue
         r = -rd.cartan[i - 1][j - 1]
-        se = alg.zero()
-        sf = alg.zero()
+        se, sf = {}, {}
         for s in range(r + 1):
             sign = ONE if s % 2 == 0 else -ONE
             a, b = (r - s, s) if direction > 0 else (s, r - s)
-            se = se + (_divided_power(alg, alg.E, i, a) * alg.E(j)
-                       * _divided_power(alg, alg.E, i, b)
-                       ).scale(sign * qi ** (-s))
-            sf = sf + (_divided_power(alg, alg.F, i, b) * alg.F(j)
-                       * _divided_power(alg, alg.F, i, a)
-                       ).scale(sign * qi ** s)
-        img[("E", j)] = se
-        img[("F", j)] = sf
+            add_scaled(se, (_divided_power(alg, alg.E, i, a) * alg.E(j)
+                            * _divided_power(alg, alg.E, i, b)).terms,
+                       sign * qi ** (-s))
+            add_scaled(sf, (_divided_power(alg, alg.F, i, b) * alg.F(j)
+                            * _divided_power(alg, alg.F, i, a)).terms,
+                       sign * qi ** s)
+        img[("E", j)] = Element(alg, se)
+        img[("F", j)] = Element(alg, sf)
     return img
 
 

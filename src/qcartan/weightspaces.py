@@ -15,7 +15,7 @@ lex-least spanning words, giving one canonical choice per weight space.
 
 from __future__ import annotations
 
-from .linalg import Echelon, vec_add, vec_scale
+from .linalg import Echelon, add_scaled
 from .qfield import ONE, q_power
 from .rootsys import RootData, kostant_partition_count
 
@@ -97,16 +97,15 @@ class WeightSpaces:
                 spk = lowers[k][1]
                 a_b, b_b = low_sp.ab[(k, b)]
                 # F_i * (lower A/B parts), pushed into basis coords of wk
-                av = {}
+                av, bv = {}, {}
                 for lw, c in a_b.items():
-                    av = vec_add(av, vec_scale(spk.coords[(i, lw)], c))
-                bv = {}
+                    add_scaled(av, spk.coords[(i, lw)], c)
                 fac = self._qpair[k, i]
                 for lw, c in b_b.items():
-                    bv = vec_add(bv, vec_scale(spk.coords[(i, lw)], c * fac))
+                    add_scaled(bv, spk.coords[(i, lw)], c * fac)
                 if k == i:
-                    av = vec_add(av, {b: g})
-                    bv = vec_add(bv, {b: -self._qafac[k]})
+                    add_scaled(av, {b: g})
+                    add_scaled(bv, {b: -self._qafac[k]})
                 out_a[k], out_b[k] = av, bv
                 for lw, c in av.items():
                     stacked[("A", k, lw)] = c
@@ -117,9 +116,9 @@ class WeightSpaces:
         ech = Echelon(track=True)
         basis = []
         coords = {}
-        for word in spanning:
+        for num, word in enumerate(spanning):
             stacked, out_a, out_b = psi(word)
-            is_new, combo = ech.add(stacked, label=word)
+            is_new, rel = ech.add(stacked)
             key = (word[0], word[1:])
             if is_new:
                 basis.append(word)
@@ -127,7 +126,9 @@ class WeightSpaces:
                 for k in range(1, n + 1):
                     ab_new[(k, word)] = (out_a[k], out_b[k])
             else:
-                coords[key] = dict(combo or {})
+                # word = -(sum of the earlier words in its relation)
+                coords[key] = {spanning[m]: -c for m, c in rel.items()
+                               if m != num}
         sp = _Space(tuple(basis), coords, ab_new)
 
         expected = kostant_partition_count(rd, weight)
@@ -151,7 +152,7 @@ class WeightSpaces:
         sp = self.space(self.word_weight(word))
         out: dict = {}
         for b, c in rest.items():
-            out = vec_add(out, vec_scale(sp.coords[(i, b)], c))
+            add_scaled(out, sp.coords[(i, b)], c)
         self._reduce_memo[word] = out
         return out
 

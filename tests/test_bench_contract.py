@@ -10,8 +10,11 @@ import ast
 import importlib
 import os
 import sys
+from fractions import Fraction
 
+from qcartan import linalg, rootsys
 from qcartan.uqalgebra import Algebra
+from qcartan.weightspaces import WeightSpaces
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench")
@@ -67,3 +70,26 @@ def test_workload_references_resolve():
 def test_oracle_reads_npow():
     # bench/oracle.py refuses an algebra whose npow is not 1
     assert Algebra.npow == 1
+
+
+def test_tracer_counts_and_restores():
+    # the tracer's hooks read Echelon.add's result as (is_new, ...) and
+    # WeightSpaces._build's first argument as the weight
+    add = linalg.Echelon.add
+    tracer = Tracer()
+    tracer.install()
+    try:
+        wrapped = list(tracer._saved)
+        assert linalg.Echelon.add is not add
+        ws = WeightSpaces(rootsys.build_root_data("A", 2))
+        for weight in ((1, 2), (2, 1)):
+            ws.space(weight)
+        linalg.kernel_basis([{0: Fraction(1)}, {0: Fraction(2)}, {}])
+    finally:
+        tracer.uninstall()
+    c = tracer.counts
+    assert c["echelon_adds"] > 0 and c["echelon_new"] > 0
+    assert c["spaces_built"] > 0 and c["max_height"] == 3
+    assert linalg.Echelon.add is add
+    for owner, name, original in wrapped:
+        assert owner.__dict__[name] is original, (owner, name)

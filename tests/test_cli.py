@@ -103,6 +103,22 @@ def test_equal_command(capsys):
     assert rc == 1
 
 
+def test_equal_json(capsys):
+    rc, out = run(["equal", "--family", "A", "--rank", "2", "--json",
+                   "--lhs", "E1 F1 - F1 E1",
+                   "--rhs", "(Ki1 - Ki-1) (q - q^-1)^-1"], capsys)
+    assert rc == 0
+    assert json.loads(out) == {"equal": True}
+    rc, out = run(["equal", "--family", "A", "--rank", "2", "--json",
+                   "--lhs", "E1", "--rhs", "F1"], capsys)
+    assert rc == 1
+    data = json.loads(out)
+    assert data["equal"] is False
+    _, diff = run(["normal-form", "--family", "A", "--rank", "2", "--json",
+                   "--expr", "E1 - F1"], capsys)
+    assert data["difference"] == json.loads(diff)
+
+
 def test_equal_section82(capsys):
     rc, _ = run([
         "equal", "--pair", "AIII", "--n", "2",
@@ -151,6 +167,15 @@ def test_member_command(capsys):
     rc, _ = run(["member", "--pair", "AIII", "--n", "2", "--expr", "F1"],
                 capsys)
     assert rc == 1
+
+
+def test_member_json(capsys):
+    rc, out = run(["member", "--pair", "AIII", "--n", "2", "--json",
+                   "--expr", "B1"], capsys)
+    assert (rc, json.loads(out)) == (0, {"member": True})
+    rc, out = run(["member", "--pair", "AIII", "--n", "2", "--json",
+                   "--expr", "F1"], capsys)
+    assert (rc, json.loads(out)) == (1, {"member": False})
 
 
 def test_cartan_command(capsys):

@@ -241,6 +241,16 @@ def test_centralizer_basis(a3):
     assert shared_algebra("A", 2).centralizer_basis("-", (1, 1), (1,)) == []
 
 
+def test_ad_kernel_zero_column(a3):
+    # ad E1 and ad F1 both kill F3, so its one column is empty and
+    # kernel_basis gives it the int coefficient 1; the kernel vector must
+    # still carry a QRat coefficient
+    kern = a3.ad_kernel([a3.F(3)], [("E", 1), ("F", 1)])
+    assert kern == [a3.F(3)]
+    (coeff,) = kern[0].terms.values()
+    assert isinstance(coeff, QRat) and coeff == ONE
+
+
 def test_twisted_commutator_lines(a2):
     # the weight space at alpha1+alpha2 carries unique lines for the
     # one-sided q-commutation conditions F1 Y = q^{+-1} Y F1
