@@ -7,6 +7,11 @@ Polynomials are tuples of ints in ascending degree; a QRat is canonical:
 the polynomial gcd of numerator and denominator is 1, the integer contents
 are coprime, and the denominator has positive leading coefficient.
 Canonical form makes equality structural.
+
+Canonicalisation works in Z[v] alone. The gcd splits off the power of v
+before its pseudo-remainder sequence, and the cofactors come from exact
+integer division (Gauss's lemma: dividing by a primitive gcd leaves
+integer quotients), so no Fraction is formed on the arithmetic path.
 """
 
 from __future__ import annotations
@@ -57,10 +62,7 @@ def pshift(a: tuple, k: int) -> tuple:
 
 
 def pcontent(a: tuple) -> int:
-    g = 0
-    for c in a:
-        g = _igcd(g, abs(c))
-    return g
+    return _igcd(*a)
 
 
 def pprimitive(a: tuple) -> tuple:
@@ -90,31 +92,50 @@ def _pseudo_rem(a: tuple, b: tuple) -> tuple:
 
 
 def pgcd(a: tuple, b: tuple) -> tuple:
-    a, b = pprimitive(a), pprimitive(b)
-    while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, pprimitive(r)
-    return a if a else ()
+    """gcd in Z[v], primitive with a positive leading coefficient.
+
+    The power of v splits off first: gcd(v^i a', v^j b') is
+    v^min(i, j) gcd(a', b') when a'(0) and b'(0) are nonzero. The primitive
+    PRS (Knuth, TAOCP vol. 2, 4.6.1) runs only on the parts prime to v,
+    and stops as soon as either part is a constant.
+    """
+    if not a or not b:
+        return pprimitive(a or b)
+    i = next(k for k, c in enumerate(a) if c)
+    j = next(k for k, c in enumerate(b) if c)
+    a, b = a[i:], b[j:]
+    if len(a) > 1 and len(b) > 1:
+        a, b = pprimitive(a), pprimitive(b)
+        while len(b) > 1:
+            a, b = b, pprimitive(_pseudo_rem(a, b))
+        if not b:
+            return pshift(a, min(i, j))
+    return pshift((1,), min(i, j))
 
 
 def pdivexact(a: tuple, b: tuple) -> tuple:
-    """Exact polynomial division over Q, asserting zero remainder."""
+    """The quotient a / b, which must be exact over Z.
+
+    Raises ArithmeticError when the remainder is nonzero or the quotient
+    has a coefficient outside Z.
+    """
     if not a:
         return ()
-    da, db = len(a) - 1, len(b) - 1
-    out = [Fraction(0)] * (da - db + 1)
-    rem = [Fraction(c) for c in a]
-    lc = Fraction(b[-1])
-    for i in range(da, db - 1, -1):
-        c = rem[i] / lc
-        out[i - db] = c
+    db = len(b) - 1
+    lc, low = b[-1], b[:-1]
+    rem = list(a)
+    out = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c, r = divmod(rem[i], lc)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
         if c:
-            for j in range(db + 1):
-                rem[i - db + j] -= c * b[j]
-    if any(rem):
+            out[i - db] = c
+            for j, bj in enumerate(low, i - db):
+                rem[j] -= c * bj
+    if any(rem[:db]):
         raise ArithmeticError("inexact polynomial division")
-    assert all(c.denominator == 1 for c in out)
-    return _trim([int(c) for c in out])
+    return tuple(out)
 
 
 def peval(a: tuple, x: Fraction) -> Fraction:
@@ -127,7 +148,7 @@ def peval(a: tuple, x: Fraction) -> Fraction:
 def _mult_at_one(a: tuple) -> tuple[int, tuple]:
     """Multiplicity of (v - 1) in a, plus the cofactor."""
     m = 0
-    while a and peval(a, Fraction(1)) == 0:
+    while a and sum(a) == 0:
         a = pdivexact(a, (-1, 1))
         m += 1
     return m, a
@@ -268,7 +289,7 @@ class QRat:
             return (order, None)
         if order > 0:
             return (order, Fraction(0))
-        return (0, peval(rn, Fraction(1)) / peval(rd, Fraction(1)))
+        return (0, Fraction(sum(rn), sum(rd)))
 
     def eval_at(self, x) -> Fraction:
         x = Fraction(x)

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd as _igcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcartan.qfield import (ONE, QRat, ZERO, format_qrat, gauss_binomial,
-                            q_int, q_power, qvar)
+                            pcontent, pdivexact, pgcd, pmul, q_int, q_power,
+                            qvar)
 
 q = qvar()
 
@@ -164,3 +166,125 @@ def test_q_power_additivity(a, b):
 def test_q_int_symmetry():
     for m in range(1, 6):
         assert q_int(m).substitute_inverse() == q_int(m)
+
+
+# ---------------------------------------------------------------------------
+# integer polynomial helpers
+
+def vpow(k):
+    return (0,) * k + (1,)
+
+
+def test_pdivexact_integer_quotient():
+    a = pmul((3, -2, 5), (1, 4, -1, 2))
+    assert pdivexact(a, (1, 4, -1, 2)) == (3, -2, 5)
+    assert pdivexact(a, (3, -2, 5)) == (1, 4, -1, 2)
+    assert pdivexact((6, 4), (2,)) == (3, 2)
+    assert pdivexact((), (1, 1)) == ()
+    assert all(type(c) is int for c in pdivexact(a, (3, -2, 5)))
+
+
+def test_pdivexact_raises_when_inexact():
+    with pytest.raises(ArithmeticError):
+        pdivexact((1, 0, 1), (1, 1))        # nonzero remainder
+    with pytest.raises(ArithmeticError):
+        pdivexact((1, 1), (1, 0, 1))        # divisor of higher degree
+    with pytest.raises(ArithmeticError):
+        pdivexact((1, 1), (2,))             # exact over Q, not over Z
+    with pytest.raises(ArithmeticError):
+        pdivexact((1, 2, 1), (2, 2))        # (v + 1) / 2
+
+
+def test_pgcd_splits_powers_of_v():
+    one_v = (1, 1)
+    a = pmul(vpow(3), one_v)
+    b = pmul(vpow(2), pmul(one_v, one_v))
+    assert pgcd(a, b) == pmul(vpow(2), one_v)
+    assert pgcd(vpow(5), vpow(2)) == vpow(2)
+    assert pgcd(pmul(vpow(4), (2, 1)), (2, 3, 1)) == (2, 1)
+
+
+def test_pgcd_coprime_and_constant():
+    assert pgcd((1, 1), (-1, 1)) == (1,)
+    assert pgcd((1, 1, 1), (1, 0, 1)) == (1,)
+    assert pgcd((6,), (2, 4)) == (1,)
+    assert pgcd((0, 0, 4, 6), (-3,)) == (1,)
+    assert pgcd((-4, -6), ()) == (2, 3)
+
+
+polys = st.lists(st.integers(-6, 6), min_size=1, max_size=5).map(
+    lambda c: tuple(c[:max((i + 1 for i, x in enumerate(c) if x),
+                           default=0)]))
+nonzero_polys = polys.filter(bool)
+# cyclotomic and v-adic factors the engine's denominators are made of
+FACTORS = ((0, 1), (-1, 1), (1, 0, 1), (1, 1, 1), (1, 0, -1, 0, 0, 0, 1))
+planted = st.lists(st.sampled_from(FACTORS), max_size=3)
+
+
+def _times(p, factors):
+    for f in factors:
+        p = pmul(p, f)
+    return p
+
+
+@given(nonzero_polys, nonzero_polys, planted)
+@settings(max_examples=150, deadline=None)
+def test_pgcd_primitive_common_divisor(a, b, common):
+    a, b = _times(a, common), _times(b, common)
+    g = pgcd(a, b)
+    assert pcontent(g) == 1 and g[-1] > 0
+    # pdivexact raises unless the division is exact
+    assert pgcd(pdivexact(a, g), pdivexact(b, g)) == (1,)
+    pdivexact(g, _times((1,), common))      # the planted factors divide g
+
+
+def _assert_canonical(x):
+    if not x.num:
+        assert (x.num, x.den) == ((), (1,))
+        return
+    assert pgcd(x.num, x.den) == (1,)
+    assert _igcd(pcontent(x.num), pcontent(x.den)) == 1
+    assert x.den[-1] > 0
+
+
+qrats = st.tuples(polys, nonzero_polys, planted).map(
+    lambda t: QRat(_times(t[0], t[2]), _times(t[1], t[2])))
+
+
+@given(qrats, qrats)
+@settings(max_examples=150, deadline=None)
+def test_canonical_after_arithmetic(a, b):
+    _assert_canonical(a)
+    _assert_canonical(a + b)
+    _assert_canonical(a * b)
+    if b:
+        _assert_canonical(a / b)
+
+
+def _poly_of(expr, v):
+    import sympy
+    return tuple(Fraction(int(c.p), int(c.q))
+                 for c in reversed(sympy.Poly(expr, v).all_coeffs()))
+
+
+@given(nonzero_polys, nonzero_polys, planted, st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_canonical_form_matches_sympy_cancel(a, b, common, k):
+    sympy = pytest.importorskip("sympy")
+    v = sympy.Symbol("v")
+    common = list(common) + [vpow(1)] * k
+    num, den = _times(a, common), _times(b, common)
+    x = QRat(num, den)
+
+    def expr(p):
+        return sum(c * v ** i for i, c in enumerate(p))
+
+    n, d = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
+    n, d = _poly_of(n, v), _poly_of(d, v)
+    # the joint primitive form with positive leading denominator coefficient
+    scale = lcm(*(c.denominator for c in n + d))
+    n = [int(c * scale) for c in n]
+    d = [int(c * scale) for c in d]
+    g = _igcd(*n, *d) * (1 if d[-1] > 0 else -1)
+    assert x.num == tuple(c // g for c in n)
+    assert x.den == tuple(c // g for c in d)
