@@ -48,39 +48,30 @@ def bracket(a: Matrix, b: Matrix) -> Matrix:
 def chevalley_matrices(family: str, rank: int):
     """Generators (e, f, h) of the standard realization; types A-D."""
     n = rank
+    if family not in ("A", "B", "C", "D"):
+        raise ValueError("no matrix realization for family %r" % family)
     if family == "A":
         e = [unit(i, i + 1) for i in range(n)]
         f = [unit(i + 1, i) for i in range(n)]
-    elif family == "B":
-        # indices: 0 is the middle coordinate, 1..n and n+1..2n (= 1'..n')
-        def pr(i):
-            return n + i
-        e, f = [], []
-        for i in range(1, n):
-            e.append(add_scaled(unit(i, i + 1), unit(pr(i + 1), pr(i), -1)))
-            f.append(add_scaled(unit(i + 1, i), unit(pr(i), pr(i + 1), -1)))
-        e.append(add_scaled(unit(n, 0), unit(0, pr(n), -1)))
-        f.append(add_scaled(unit(0, n, 2), unit(pr(n), 0, -2)))
-    elif family == "C":
-        def pr(i):
-            return n + i - 1
-        e, f = [], []
-        for i in range(1, n):
-            e.append(add_scaled(unit(i - 1, i), unit(pr(i + 1), pr(i), -1)))
-            f.append(add_scaled(unit(i, i - 1), unit(pr(i), pr(i + 1), -1)))
-        e.append(unit(n - 1, pr(n)))
-        f.append(unit(pr(n), n - 1))
-    elif family == "D":
-        def pr(i):
-            return n + i - 1
-        e, f = [], []
-        for i in range(1, n):
-            e.append(add_scaled(unit(i - 1, i), unit(pr(i + 1), pr(i), -1)))
-            f.append(add_scaled(unit(i, i - 1), unit(pr(i), pr(i + 1), -1)))
-        e.append(add_scaled(unit(n - 2, pr(n)), unit(n - 1, pr(n - 1), -1)))
-        f.append(add_scaled(unit(pr(n), n - 2), unit(pr(n - 1), n - 1, -1)))
     else:
-        raise ValueError("no matrix realization for family %r" % family)
+        # B, C, D: coordinates 0..n-1, their primes n..2n-1 and, for B,
+        # the middle one 2n; only e_n and f_n depend on the family
+        def pr(i):
+            return n + i - 1
+        e, f = [], []
+        for i in range(1, n):
+            e.append(add_scaled(unit(i - 1, i), unit(pr(i + 1), pr(i), -1)))
+            f.append(add_scaled(unit(i, i - 1), unit(pr(i), pr(i + 1), -1)))
+        a, b = n - 1, pr(n)     # the last coordinate and its prime
+        if family == "B":
+            e.append(add_scaled(unit(a, 2 * n), unit(2 * n, b, -1)))
+            f.append(add_scaled(unit(2 * n, a, 2), unit(b, 2 * n, -2)))
+        elif family == "C":
+            e.append(unit(a, b))
+            f.append(unit(b, a))
+        else:
+            e.append(add_scaled(unit(a - 1, b), unit(a, b - 1, -1)))
+            f.append(add_scaled(unit(b, a - 1), unit(b - 1, a, -1)))
     h = [bracket(ei, fi) for ei, fi in zip(e, f)]
     return e, f, h
 
@@ -178,9 +169,9 @@ def verify_classical_cartan(ts: ThetaSystem) -> dict:
     ech = Echelon()
     for x in basis:
         ech.add(x)
-    checks["dimension"] = (len(ech) == inv.dim_h_theta() + len(ts.entries))
+    checks["dimension"] = (len(ech) == len(inv.h_theta) + len(ts.entries))
     checks["expected_dimension_matches_rank"] = (
-        len(ech) == inv.dim_h_theta() + max_strongly_orthogonal(inv))
+        len(ech) == len(inv.h_theta) + max_strongly_orthogonal(inv))
     return {"checks": checks, "signs": signs}
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .classical import chevalley_matrices, matrix_root_vector, mmul
 from .involutions import Involution, ThetaSystem
-from .linalg import Echelon, add_scaled, vec_ratio
+from .linalg import add_scaled, vec_ratio
 from .qfield import ONE, QRat, ZERO
 from .uqalgebra import Algebra, Element, LusztigT, _as_qrat, q_comm
 
@@ -505,7 +505,8 @@ def verify_cartan_suite(params: CoidealParams, ts: ThetaSystem,
     ok = True
     for j in range(1, r + 1):
         resid = params.project(hps[j]) - ws[j]
-        if not _in_w_torus_span(params, ws, j, resid):
+        lower = {k: (ws[k], ws[k]) for k in ws if k > j}
+        if _torus_span(params, lower, resid) is None:
             ok = False
     report["projection_in_torus_span"] = ok
 
@@ -552,7 +553,8 @@ def verify_cartan_suite(params: CoidealParams, ts: ThetaSystem,
         ok = True
         sols = {}
         for j in range(1, r + 1):
-            sol = _express_in_h_primes(params, hps, ws, reps[j].H, j)
+            gens = {k: (hps[k], ws[k]) for k in hps if k >= j}
+            sol = _torus_span(params, gens, reps[j].H)
             sols[j] = sol
             if sol is None:
                 ok = False
@@ -561,69 +563,42 @@ def verify_cartan_suite(params: CoidealParams, ts: ThetaSystem,
     return report
 
 
-def _torus_candidates(params: CoidealParams, resid: Element):
-    inv = params.involution
-    mus = {t[1] for t in resid.terms}
-    return [mu for mu in mus if inv.apply(mu) == mu]
+def _torus_span(params: CoidealParams, gens: dict, x: Element):
+    """Solve x = sum_k g_k t_k + t_0 with t_k, t_0 in T_theta by peeling.
 
-
-def _in_w_torus_span(params: CoidealParams, ws: dict, j: int,
-                     resid: Element) -> bool:
-    if resid.is_zero():
-        return True
+    gens = {k: (g_k, W_k)} with W_k the minimal l-weight component of g_k,
+    a pure F-element; the W_k have distinct weights, so in increasing k the
+    component of the remainder at W_k's l-weight fixes t_k, one K-exponent
+    at a time.  Returns {k: t_k, 0: t_0} or None.
+    """
     alg = params.algebra
-    ech = Echelon()
-    for k in sorted(ws):
-        if k <= j:
-            continue
-        for mu in _torus_candidates(params, resid):
-            ech.add(dict((ws[k] * alg.K(mu)).terms))
-    for mu in _torus_candidates(params, resid):
-        ech.add(dict(alg.K(mu).terms))
-    ech.add(dict(alg.one().terms))
-    return ech.contains(dict(resid.terms))
-
-
-def _express_in_h_primes(params: CoidealParams, hps: dict, ws: dict,
-                         H: Element, j: int):
-    """Solve H = sum_k H'_k t_k + t_0 with torus coefficients by peeling."""
-    alg = params.algebra
-    resid = dict(H.terms)
+    fixed = lambda mu: params.involution.apply(mu) == mu
+    resid = dict(x.terms)
     sol = {}
-    for k in sorted(hps):
-        if k < j:
-            continue
+    for k in sorted(gens):
         if not resid:
             break
-        # collect the component at the l-weight of W_k
-        wk = ws[k]
-        wk_lweight = tuple(-c
-                           for c in alg.ws.word_weight(min(wk.terms)[0]))
-        comp_terms = {t: c for t, c in resid.items()
-                      if tuple(-cc for cc in alg.ws.word_weight(t[0]))
-                      == wk_lweight}
-        if not comp_terms:
-            continue
-        # group by K-exponent and divide by W_k
+        g, wk = gens[k]
+        lw = alg.ws.word_weight(min(wk.terms)[0])
         groups: dict = {}
-        for (u, mu, v), c in comp_terms.items():
-            if v:
-                return None
-            groups.setdefault(mu, {})[u] = c
-        coeff: dict = {}
+        for (u, mu, v), c in resid.items():
+            if alg.ws.word_weight(u) == lw:
+                if v:
+                    return None
+                groups.setdefault(mu, {})[u] = c
+        if not groups:
+            continue
         base = {t[0]: c for t, c in wk.terms.items()}
+        coeff: dict = {}
         for mu, vec in groups.items():
             ratio = vec_ratio(vec, base)
-            if ratio is None:
-                return None
-            if params.involution.apply(mu) != mu:
+            if ratio is None or not fixed(mu):
                 return None
             add_scaled(coeff, alg.K(mu).terms, ratio)
         sol[k] = Element(alg, coeff)
-        add_scaled(resid, (-(hps[k] * sol[k])).terms)
+        add_scaled(resid, (-(g * sol[k])).terms)
     # the remainder must be a torus polynomial with theta-fixed exponents
-    for (u, mu, v), c in resid.items():
-        if u or v or params.involution.apply(mu) != mu:
-            return None
+    if any(u or v or not fixed(mu) for u, mu, v in resid):
+        return None
     sol[0] = Element(alg, resid)
     return sol

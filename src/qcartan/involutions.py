@@ -46,9 +46,6 @@ class Involution:
                     out[j] += c * v
         return tuple(out)
 
-    def dim_h_theta(self) -> int:
-        return len(self.h_theta)
-
     def validate(self):
         """Check the invariants the Satake derivation does not make true by
         construction: theta is an involution, preserves the form, and fixes
@@ -78,9 +75,6 @@ class ThetaSystem:
     @property
     def rd(self) -> RootData:
         return self.involution.rd
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def _coroot_combo_weight(rd: RootData, span: dict) -> Weight:

@@ -2,7 +2,7 @@
 
 Every scalar in the engine is an element of Q(q); the engine only forms
 integer powers of q, since every exponent is a pairing (weight, root).
-The variable is stored as v = q (the JSON form records "var": "v", "N": 1).
+The variable is stored as v = q (the JSON form records "var": "v").
 Polynomials are tuples of ints in ascending degree; a QRat is canonical:
 the polynomial gcd of numerator and denominator is 1, the integer contents
 are coprime, and the denominator has positive leading coefficient.
@@ -24,6 +24,8 @@ from math import gcd as _igcd
 # integer polynomial helpers (tuples, ascending degree, no trailing zeros)
 
 def _trim(coeffs) -> tuple:
+    if type(coeffs) is tuple and (not coeffs or coeffs[-1]):
+        return coeffs
     n = len(coeffs)
     while n and coeffs[n - 1] == 0:
         n -= 1
@@ -51,7 +53,7 @@ def pmul(a: tuple, b: tuple) -> tuple:
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return _trim(out)
+    return tuple(out)   # trimmed: for trimmed a, b, lc(a) lc(b) != 0
 
 
 def pshift(a: tuple, k: int) -> tuple:
@@ -300,8 +302,7 @@ class QRat:
 
     # io ------------------------------------------------------------------
     def to_json(self) -> dict:
-        return {"num": list(self.num), "den": list(self.den), "var": "v",
-                "N": 1}
+        return {"num": list(self.num), "den": list(self.den), "var": "v"}
 
     @staticmethod
     def from_json(obj) -> "QRat":

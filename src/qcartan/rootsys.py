@@ -182,24 +182,10 @@ class RootData:
             i for i in range(1, self.rank + 1)
             if self.is_strongly_orthogonal(beta, self.simple(i)))
 
-    def orth_simples(self, beta: Weight) -> frozenset:
-        return frozenset(i for i in range(1, self.rank + 1)
-                         if not self.inner(beta, self.simple(i)))
-
     def dominance_leq(self, lam: Weight, mu: Weight) -> bool:
         """lam <= mu in the standard order: mu - lam in Q^+(pi)."""
         return all((d := m - l) >= 0 and d.denominator == 1
                    for l, m in zip(lam, mu))
-
-    # -- io ----------------------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "type": self.family,
-            "rank": self.rank,
-            "cartan": [list(r) for r in self.cartan],
-            "d": list(self.d),
-            "positive_roots": [[str(c) for c in w] for w in self.positive_roots],
-        }
 
 
 def _valid(family: str, rank: int) -> bool:

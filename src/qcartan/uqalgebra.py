@@ -311,28 +311,15 @@ class Algebra:
         return Element(self, out)
 
     def phi_prime(self, a: Element) -> Element:
-        """Automorphism over q -> q^{-1} fixing F_iK_i and K_i^{-1}E_i."""
-        rd = self.rd
-        out: dict = {}
-        for (u, mu, v), c in a.terms.items():
-            lam_u = self.ws.word_weight(u)
-            lam_v = self.ws.word_weight(v)
-            fac = 0
-            for s in range(1, len(u)):
-                for t in range(s):
-                    fac -= 2 * rd.inner(rd.simple(u[t]), rd.simple(u[s]))
-            for s in range(1, len(v)):
-                for t in range(s):
-                    fac += 2 * rd.inner(rd.simple(v[s]), rd.simple(v[t]))
-            mu2 = tuple(2 * a_ - m - 2 * b_
-                        for a_, m, b_ in zip(lam_u, mu, lam_v))
-            _accumulate(out, (u, mu2, v),
-                        c.substitute_inverse() * q_power(fac))
-        return Element(self, out)
+        """Automorphism over q -> q^{-1} fixing F_iK_i and K_i^{-1}E_i.
+
+        It is kappa phi kappa: both are automorphisms over q -> q^{-1} that
+        agree on F_iK_i, K_i^{-1}E_i and K_mu."""
+        return self.kappa(self.phi(self.kappa(a)))
 
     def apply_symmetry(self, kind: str, a: Element) -> Element:
         table = {"kappa": self.kappa, "sigma": self.sigma, "phi": self.phi,
-                 "phi_prime": self.phi_prime, "phiP": self.phi_prime}
+                 "phiP": self.phi_prime}
         if kind not in table:
             raise ValueError("unknown symmetry %r" % kind)
         return table[kind](a)

@@ -6,7 +6,8 @@ import pytest
 from conftest import shared_params
 
 from qcartan.classical import matrix_root_vector
-from qcartan.coideal import (cartan_element, q_comm, specialize_to_matrix,
+from qcartan.coideal import (CoidealParams, _torus_span, cartan_element,
+                             q_comm, specialize_to_matrix,
                              verify_cartan_suite)
 from qcartan.involutions import gamma_theta
 from qcartan.linalg import Echelon, vec_ratio
@@ -376,6 +377,67 @@ def test_suite_odd_ranks():
         rep = verify_cartan_suite(par, ts)
         flat = {k: v for k, v in rep.items() if isinstance(v, bool)}
         assert all(flat.values()), flat
+
+
+def test_torus_span_recovers_planted_coefficients():
+    # AIII(5,3): T_theta holds K_mu for mu = a_1 - a_5 and a_2 - a_4, and
+    # W_1, W_2, W_3 = F_3 lie at the distinct weights beta_1, beta_2, beta_3
+    par = shared_params("AIII", 5, 3)
+    alg = par.algebra
+    q = alg.q
+    mu1, mu2 = (1, 0, 0, 0, -1), (0, 1, 0, -1, 0)
+    assert all(par.involution.apply(mu) == mu for mu in (mu1, mu2))
+    ws = {k: par.w_lowest(k) for k in (1, 2, 3)}
+    assert ws[3] == alg.F(3)
+    t = {1: alg.K(mu1).scale(q) + alg.scalar(2),
+         2: alg.K(mu2).scale(q ** -2 + ONE) - alg.K((1, 1, 0, -1, -1)),
+         3: alg.K(tuple(-c for c in mu1)),
+         0: alg.K(mu1).scale(3) - alg.one()}
+    x = t[0]
+    for k, w in ws.items():
+        x = x + w * t[k]
+    gens = {k: (w, w) for k, w in ws.items()}
+    assert _torus_span(par, gens, x) == t
+    assert _torus_span(par, {}, t[0]) == {0: t[0]}
+    # the solve of check (h): H'_k in place of W_k, in AIII(3,2)
+    par3 = shared_params("AIII", 3, 2)
+    alg3 = par3.algebra
+    t3 = {1: alg3.K((1, 0, -1)).scale(q) + alg3.one(),
+          2: alg3.K((-1, 0, 1)), 0: alg3.scalar(q)}
+    x3 = t3[0] + par3.h_prime(1) * t3[1] + par3.h_prime(2) * t3[2]
+    gens3 = {k: (par3.h_prime(k), par3.w_lowest(k)) for k in (1, 2)}
+    assert _torus_span(par3, gens3, x3) == t3
+
+
+def test_torus_span_refuses_terms_outside():
+    par = shared_params("AIII", 5, 3)
+    alg = par.algebra
+    ws = {k: par.w_lowest(k) for k in (1, 2, 3)}
+    gens = {k: (w, w) for k, w in ws.items()}
+    mu1, nu = (1, 0, 0, 0, -1), (1, 0, 0, 0, 0)
+    assert par.involution.apply(nu) != nu
+    x = ws[2] * alg.K(mu1) + ws[3] + alg.one()
+    assert _torus_span(par, gens, x) is not None
+    for extra in (alg.F(3) * alg.K(nu),           # W_3 K_nu, nu not fixed
+                  ws[2] * alg.K(nu),               # W_2 K_nu, nu not fixed
+                  alg.F(1) * alg.K(mu1),           # no W at weight a_1
+                  alg.K(nu),                       # torus, nu not fixed
+                  alg.F(3) * alg.E(1),             # E-word at W_3's weight
+                  alg.E(2) * alg.K(mu1),           # E-word in the remainder
+                  alg.F(2) * alg.F(3) * alg.F(4)):  # not along W_2
+        assert _torus_span(par, gens, x + extra) is None, extra
+
+
+@pytest.mark.parametrize("label,j", [
+    ("EII", 4), ("EIII", 2), ("EV", 3), ("EVI", 4), ("EVIII", 4), ("FI", 4),
+    pytest.param("EVII", 3, marks=pytest.mark.slow),
+    pytest.param("EIX", 4, marks=pytest.mark.slow)])
+def test_exceptional_cartan_element(label, j):
+    # one small-beta H_j per exceptional label whose full report is long
+    ts = gamma_theta(label, None, None)
+    rep = cartan_element(CoidealParams(ts.involution), ts, j)
+    assert rep.ok(), rep.checks
+    assert rep.Y and rep.X
 
 
 def test_golden_h_prime():

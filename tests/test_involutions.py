@@ -226,7 +226,7 @@ def test_rank_data_consistency():
         top = max_strongly_orthogonal(inv)
         assert len(ts.entries) == top, (label, n, r)
         if label in EXCEPTIONAL_RANK_K:
-            assert inv.dim_h_theta() + top == EXCEPTIONAL_RANK_K[label]
+            assert len(inv.h_theta) + top == EXCEPTIONAL_RANK_K[label]
         if rd.rank <= 4:
             # brute force over subsets of Delta_theta
             delta = delta_theta(inv)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcartan.qfield import (ONE, QRat, ZERO, format_qrat, gauss_binomial,
-                            pcontent, pdivexact, pgcd, pmul, q_int, q_power,
-                            qvar)
+from qcartan.qfield import (ONE, QRat, ZERO, _trim, format_qrat,
+                            gauss_binomial, pcontent, pdivexact, pgcd, pmul,
+                            q_int, q_power, qvar)
 
 q = qvar()
 
@@ -168,11 +168,47 @@ def test_q_int_symmetry():
         assert q_int(m).substitute_inverse() == q_int(m)
 
 
+def test_untrimmed_input_is_trimmed():
+    a = QRat((1, 0, 0), (2, 0))
+    assert a == QRat((1,), (2,))
+    assert (a.num, a.den) == ((1,), (2,))
+    assert QRat([0, 3, 0], [0, 6]) == QRat((1,), (2,))
+    assert QRat.from_int(0) == ZERO
+    assert (ZERO.num, ZERO.den) == ((), (1,))
+    assert QRat((0, 0), (5,)) == ZERO
+
+
+def test_substitute_inverse_canonicalises_v_divisible_input():
+    # v^2 -> v^-2, v/(1 + v) -> 1/(1 + v), (v^3 - v)/v^2 -> (1 - v^2)/v
+    cases = [(QRat((0, 0, 1)), QRat((1,), (0, 0, 1))),
+             (QRat((0, 1), (1, 1)), QRat((1,), (1, 1))),
+             (QRat((0, -1, 0, 1), (0, 0, 1)), QRat((1, 0, -1), (0, 1)))]
+    for x, want in cases:
+        got = x.substitute_inverse()
+        assert (got.num, got.den) == (want.num, want.den)
+        assert got.den[-1] > 0 and len(pgcd(got.num, got.den)) == 1
+        assert got.substitute_inverse() == x
+
+
 # ---------------------------------------------------------------------------
 # integer polynomial helpers
 
 def vpow(k):
     return (0,) * k + (1,)
+
+
+def test_trim_keeps_trimmed_tuples():
+    t = (3, 0, -1)
+    assert _trim(t) is t and _trim(()) == ()
+    assert _trim([3, 0, -1, 0, 0]) == t and _trim((0, 0)) == ()
+    # a product of trimmed polynomials needs no trim
+    rng = random.Random(3)
+    for _ in range(200):
+        a = tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 5)))
+        b = tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 5)))
+        a, b = _trim(a), _trim(b)
+        assert pmul(a, b) == _trim(pmul(a, b))
+        assert pmul(a, b) == () or pmul(a, b)[-1] == a[-1] * b[-1]
 
 
 def test_pdivexact_integer_quotient():

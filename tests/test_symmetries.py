@@ -1,8 +1,12 @@
 import itertools
+import random
 
+import pytest
 from conftest import shared_algebra
 
-from qcartan.uqalgebra import LusztigT
+from qcartan.linalg import _accumulate
+from qcartan.qfield import q_int, q_power
+from qcartan.uqalgebra import Element, LusztigT
 
 _LUSZTIG = {}
 
@@ -48,9 +52,58 @@ def test_phi_maps(a2):
     assert a2.phi(a2.Ki(1)) == a2.Ki(1, -1)
     assert a2.phi_prime(a2.F(1) * a2.Ki(1)) == a2.F(1) * a2.Ki(1)
     assert a2.phi_prime(a2.Ki(1, -1) * a2.E(1)) == a2.Ki(1, -1) * a2.E(1)
-    # phi' = kappa phi kappa
-    x = a2.F(2) * a2.E(1) * a2.Ki(2, -1)
-    assert a2.phi_prime(x) == a2.kappa(a2.phi(a2.kappa(x)))
+
+
+def _phi_prime_closed_form(alg, a):
+    """phi' term by term: F_u K_mu E_v goes to
+    q^(-2 sum_{t<s} (a_{u_t}, a_{u_s}) + 2 sum_{t<s} (a_{v_s}, a_{v_t}))
+    F_u K_{2 wt(u) - mu - 2 wt(v)} E_v, its coefficient at q^{-1}."""
+    rd = alg.rd
+    out = {}
+    for (u, mu, v), c in a.terms.items():
+        fac = 0
+        for s in range(1, len(u)):
+            for t in range(s):
+                fac -= 2 * rd.inner(rd.simple(u[t]), rd.simple(u[s]))
+        for s in range(1, len(v)):
+            for t in range(s):
+                fac += 2 * rd.inner(rd.simple(v[s]), rd.simple(v[t]))
+        lam_u, lam_v = alg.ws.word_weight(u), alg.ws.word_weight(v)
+        mu2 = tuple(2 * x - m - 2 * y for x, m, y in zip(lam_u, mu, lam_v))
+        _accumulate(out, (u, mu2, v), c.substitute_inverse() * q_power(fac))
+    return Element(alg, out)
+
+
+def _random_element(alg, rng, terms=3, length=3):
+    n = alg.rd.rank
+    gens = [g for i in range(1, n + 1)
+            for g in (alg.E(i), alg.F(i), alg.Ki(i), alg.Ki(i, -1))]
+    out = alg.zero()
+    for _ in range(terms):
+        x = alg.scalar(q_power(rng.randint(-2, 2)) + q_int(rng.randint(1, 3)))
+        for _ in range(rng.randint(0, length)):
+            x = x * rng.choice(gens)
+        out = out + x
+    return out
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_phi_prime_matches_closed_form(family, rank):
+    alg = shared_algebra(family, rank)
+    rng = random.Random(17)
+    for _ in range(25):
+        x = _random_element(alg, rng)
+        assert alg.phi_prime(x) == _phi_prime_closed_form(alg, x)
+    q = alg.q
+    assert alg.phi_prime(alg.scalar(q)) == alg.scalar(q ** -1)
+    for i in range(1, rank + 1):
+        fk, ke = alg.F(i) * alg.Ki(i), alg.Ki(i, -1) * alg.E(i)
+        assert alg.phi_prime(fk) == fk and alg.phi_prime(ke) == ke
+        assert alg.phi_prime(alg.Ki(i)) == alg.Ki(i, -1)
+    for _ in range(10):
+        a, b = _random_element(alg, rng, 2, 2), _random_element(alg, rng, 2, 2)
+        assert alg.phi_prime(a * b) == alg.phi_prime(a) * alg.phi_prime(b)
+        assert alg.phi_prime(alg.phi_prime(a)) == a
 
 
 def test_kappa_ad_chain_identity(a3):
