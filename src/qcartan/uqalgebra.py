@@ -116,7 +116,6 @@ class Algebra:
             rd = build_root_data(rd_or_family, rank)
         self.rd = rd
         self.ws = WeightSpaces(rd)
-        self._ef_memo: dict = {}
         self.q = q_power(1)
 
     # -- constructors -----------------------------------------------------
@@ -163,49 +162,39 @@ class Algebra:
             raise ValueError("generator index %d out of range" % i)
 
     def from_terms(self, items) -> Element:
+        """The element with these (term, coefficient) pairs.  Unlike every
+        other constructor it takes free words; but a product moves only a
+        basis E-word past an F."""
         out: dict = {}
         for t, c in items:
             _accumulate(out, t, _as_qrat(c))
         return Element(self, out)
 
     # -- multiplication -----------------------------------------------------
-    def _ef_pass(self, v: tuple, j: int):
-        """Rewrite E_v F_j as F_j E_v plus K_j^{+-1}-decorated shorter words."""
-        key = (v, j)
-        got = self._ef_memo.get(key)
-        if got is not None:
-            return got
-        rd = self.rd
-        out = []
-        qj = self.q_i(j)
-        fac = (qj - qj.inverse()).inverse()
-        prefix_weight = [0] * rd.rank
-        for p, letter in enumerate(v):
-            if letter == j:
-                ip = rd.inner(rd.simple(j), tuple(prefix_weight))
-                rest = v[:p] + v[p + 1:]
-                out.append((+1, q_power(-ip) * fac, rest))
-                out.append((-1, -(q_power(ip) * fac), rest))
-            prefix_weight[letter - 1] += 1
-        self._ef_memo[key] = out
-        return out
-
     def _times_F(self, terms: dict, j: int) -> dict:
+        """terms * F_j.  The table's [E_j, F_v] = A K_j + K_j^{-1} B, read on
+        E-words, gives E_v F_j = F_j E_v - A K_j^{-1} - K_j B, and
+        A K_j^{-1} = q^((alpha_j, wt v - alpha_j)) K_j^{-1} A."""
         rd = self.rd
+        ws = self.ws
         alpha = rd.simple(j)
         out: dict = {}
         for (u, mu, v), c in terms.items():
             base = c * q_power(-rd.inner(mu, alpha))
-            for b, cb in self.ws.reduce_word(u + (j,)).items():
+            for b, cb in ws.reduce_word(u + (j,)).items():
                 _accumulate(out, (b, mu, v), base * cb)
-            for sgn, cf, rest in self._ef_pass(v, j):
-                mu2 = tuple(m + sgn * a for m, a in zip(mu, alpha))
-                cc = c * cf
-                if len(rest) <= 1:
-                    _accumulate(out, (u, mu2, rest), cc)
-                else:
-                    for b2, cb2 in self.ws.reduce_word(rest).items():
-                        _accumulate(out, (u, mu2, b2), cc * cb2)
+            a_v, b_v = ws.commutator(j, v)
+            if a_v:
+                ca = -c * q_power(rd.inner(alpha, ws.word_weight(v))
+                                  - rd.inner(alpha, alpha))
+                mu_a = tuple(m - a for m, a in zip(mu, alpha))
+                for w, cw in a_v.items():
+                    _accumulate(out, (u, mu_a, w), ca * cw)
+            if b_v:
+                nc = -c
+                mu_b = tuple(m + a for m, a in zip(mu, alpha))
+                for w, cw in b_v.items():
+                    _accumulate(out, (u, mu_b, w), nc * cw)
         return out
 
     def _times_K(self, terms: dict, nu, coeff=ONE) -> dict:
@@ -574,6 +563,7 @@ def _divided_power(alg: Algebra, gen, i: int, s: int) -> Element:
 
 def lusztig_T_images(alg: Algebra, i: int, direction: int = +1) -> dict:
     """Images of all generators under T_i (direction=+1) or T_i^{-1}."""
+    alg._check_index(i)
     rd = alg.rd
     qi = alg.q_i(i)
     img = {("E", i): (alg.F(i) * alg.Ki(i)).scale(-1),

@@ -87,7 +87,7 @@ class WeightSpaces:
         def psi(word):
             i = word[0]
             b = word[1:]
-            g, low_sp = lowers[i]
+            g = lowers[i][0]
             out_a, out_b = {}, {}
             stacked = {}
             for k in range(1, n + 1):
@@ -95,7 +95,7 @@ class WeightSpaces:
                     out_a[k], out_b[k] = {}, {}
                     continue
                 spk = lowers[k][1]
-                a_b, b_b = low_sp.ab[(k, b)]
+                a_b, b_b = self.commutator(k, b)
                 # F_i * (lower A/B parts), pushed into basis coords of wk
                 av, bv = {}, {}
                 for lw, c in a_b.items():
@@ -137,6 +137,13 @@ class WeightSpaces:
                 "weight space dimension %d != Kostant count %d at %r"
                 % (len(basis), expected, weight))
         return sp
+
+    def commutator(self, k: int, word: tuple) -> tuple:
+        """(A, B) with [E_k, F_w] = A K_k + K_k^{-1} B for a basis word w, in
+        basis coordinates one alpha_k lower; read on E-words (E_i <-> F_i,
+        K_mu -> K_{-mu}) it gives [F_k, E_w] = A K_k^{-1} + K_k B.  The
+        engine's only E-F relation: _build and Algebra.mul both read it."""
+        return self.space(self.word_weight(word)).ab[(k, word)]
 
     # -- word reduction ----------------------------------------------------
     def reduce_word(self, word: tuple) -> dict:

@@ -340,3 +340,15 @@ def test_zero_denominator_exit_code(capsys, expr):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "A", "--rank", "2", "--expr", "T5(E1)"],
+    ["--family", "A", "--rank", "2", "--expr", "Tinv3(F1)"],
+    ["--family", "A", "--rank", "2", "--expr", "T0(E1)"],
+    ["--pair", "AIII", "--n", "3", "--expr", "T4(B1)"],
+])
+def test_braid_index_out_of_range_exit_code(capsys, args):
+    assert main(["normal-form"] + args) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -428,16 +428,36 @@ def test_torus_span_refuses_terms_outside():
         assert _torus_span(par, gens, x + extra) is None, extra
 
 
-@pytest.mark.parametrize("label,j", [
-    ("EII", 4), ("EIII", 2), ("EV", 3), ("EVI", 4), ("EVIII", 4), ("FI", 4),
-    pytest.param("EVII", 3, marks=pytest.mark.slow),
-    pytest.param("EIX", 4, marks=pytest.mark.slow)])
-def test_exceptional_cartan_element(label, j):
-    # one small-beta H_j per exceptional label whose full report is long
-    ts = gamma_theta(label, None, None)
+def _pair_name(label, n, r):
+    args = ",".join(str(x) for x in (n, r) if x is not None)
+    return "%s(%s)" % (label, args) if args else label
+
+
+def _cartan_case(label, n, r, j, *marks):
+    return pytest.param(label, n, r, j, marks=marks,
+                        id="%s-%d" % (_pair_name(label, n, r), j))
+
+
+@pytest.mark.parametrize("label,n,r,j", [
+    _cartan_case("CII-2", 4, None, 2), _cartan_case("DI-1", 4, 2, 1),
+    _cartan_case("DI-2", 4, None, 1), _cartan_case("DI-3", 4, None, 2),
+    _cartan_case("DIII-1", 4, None, 2), _cartan_case("DIII-2", 5, None, 2),
+    _cartan_case("EI", None, None, 4), _cartan_case("EII", None, None, 4),
+    _cartan_case("EIII", None, None, 2), _cartan_case("EV", None, None, 3),
+    _cartan_case("EVI", None, None, 4), _cartan_case("EVIII", None, None, 4),
+    _cartan_case("FI", None, None, 4),
+    _cartan_case("EVII", None, None, 3, pytest.mark.slow),
+    _cartan_case("EIX", None, None, 4, pytest.mark.slow),
+    _cartan_case("CII-2", 4, None, 1, pytest.mark.slow)])
+def test_exceptional_cartan_element(label, n, r, j):
+    # one small-beta H_j per label whose full report is long or untested,
+    # pinned to the canonical form in tests/golden/cartan_elements.json
+    ts = gamma_theta(label, n, r)
     rep = cartan_element(CoidealParams(ts.involution), ts, j)
     assert rep.ok(), rep.checks
     assert rep.Y and rep.X
+    want = json.loads((GOLDEN / "cartan_elements.json").read_text())
+    assert rep.H.to_json() == want["%s j=%d" % (_pair_name(label, n, r), j)]
 
 
 def test_golden_h_prime():

@@ -50,6 +50,38 @@ def test_nonsimply_laced_relation():
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("family, rank", [
+    ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_exchange_matches_position_formula(family, rank):
+    # E_v F_j - F_j E_v = sum over the positions p with v_p = j of
+    # (q^-(a_j, wt v_<p) K_j - q^(a_j, wt v_<p) K_j^-1) E_{v minus p}
+    # / (q_j - q_j^-1), with E_{v minus p} formed from E generators only
+    alg = shared_algebra(family, rank)
+    rd = alg.rd
+    for ht in (1, 2, 3):
+        for wt in itertools.product(range(ht + 1), repeat=rank):
+            if sum(wt) != ht:
+                continue
+            for v in alg.ws.basis_words(wt):
+                e_v = alg.from_terms([(((), rd.zero(), v), ONE)])
+                for j in range(1, rank + 1):
+                    qj = alg.q_i(j)
+                    fac = (qj - qj.inverse()).inverse()
+                    want = alg.F(j) * e_v
+                    prefix = [0] * rank
+                    for p, letter in enumerate(v):
+                        if letter == j:
+                            ip = rd.inner(rd.simple(j), tuple(prefix))
+                            rest = alg.one()
+                            for t in v[:p] + v[p + 1:]:
+                                rest = rest * alg.E(t)
+                            torus = alg.Ki(j).scale(q_power(-ip)) \
+                                - alg.Ki(j, -1).scale(q_power(ip))
+                            want = want + (torus * rest).scale(fac)
+                        prefix[letter - 1] += 1
+                    assert e_v * alg.F(j) == want, (v, j)
+
+
 def test_associativity_random(a2):
     rng = random.Random(42)
     gens = [a2.E(1), a2.E(2), a2.F(1), a2.F(2), a2.Ki(1), a2.Ki(2, -1),
