@@ -70,18 +70,14 @@ def _algebra(ns) -> tuple[Algebra, CoidealParams | None]:
     return Algebra(ns.family, ns.rank), None
 
 
-def _eval(ns, text):
-    alg, par = _algebra(ns)
-    return alg, Evaluator(alg, par).run(parse_expr(text))
-
-
 def _print_checks(checks: dict):
     for k, v in checks.items():
         print("  %-40s %s" % (k, "pass" if v else "FAIL"))
 
 
 def cmd_normal_form(ns) -> int:
-    alg, val = _eval(ns, ns.expr)
+    alg, par = _algebra(ns)
+    val = Evaluator(alg, par).run(parse_expr(ns.expr))
     if ns.json:
         print(json.dumps(val.to_json()))
     else:
@@ -90,8 +86,9 @@ def cmd_normal_form(ns) -> int:
 
 
 def cmd_equal(ns) -> int:
-    alg, lhs = _eval(ns, ns.lhs)
-    _, rhs = _eval(ns, ns.rhs)
+    alg, par = _algebra(ns)     # one session for both sides
+    lhs, rhs = (Evaluator(alg, par).run(parse_expr(text))
+                for text in (ns.lhs, ns.rhs))
     same = lhs == rhs
     if ns.json:
         out = {"equal": same}
@@ -149,6 +146,8 @@ def cmd_cartan(ns) -> int:
     if ns.j is not None and not 1 <= ns.j <= len(ts.entries):
         raise ValueError("--j must lie in 1..%d" % len(ts.entries))
     js = range(1, len(ts.entries) + 1) if ns.j is None else [ns.j]
+    if not ts.entries and not ns.json:
+        print("Gamma_theta is empty, so there is no H_j")
     ok = True
     payload = []
     for j in js:

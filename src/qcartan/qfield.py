@@ -12,6 +12,15 @@ Canonicalisation works in Z[v] alone. The gcd splits off the power of v
 before its pseudo-remainder sequence, and the cofactors come from exact
 integer division (Gauss's lemma: dividing by a primitive gcd leaves
 integer quotients), so no Fraction is formed on the arithmetic path.
+
+Within one engine session the same few thousand operand pairs recur, so
+`+`, `*`, `/` and `q_power` remember their canonical results (memo
+functions; Michie, Nature 218, 1968).  A hit returns the QRat already
+built, which is safe because a QRat is immutable and its canonical form
+is unique.  Each memo holds at most MEMO_BOUND entries and is emptied
+completely when it fills; `clear_memos()` empties all of them, and every
+`uqalgebra.Algebra` calls it when it is built, so each session starts
+empty.
 """
 
 from __future__ import annotations
@@ -157,6 +166,29 @@ def _mult_at_one(a: tuple) -> tuple[int, tuple]:
 
 
 # ---------------------------------------------------------------------------
+# per-session memos of canonical results
+
+MEMO_BOUND = 1024
+_ADD: dict = {}         # (a.num, a.den, b.num, b.den) -> a + b
+_MUL: dict = {}         # (a.num, a.den, b.num, b.den) -> a * b
+_DIV: dict = {}         # (a.num, a.den, b.num, b.den) -> a / b
+_POWERS: dict = {}      # exponent -> q**exponent
+MEMOS = (_ADD, _MUL, _DIV, _POWERS)
+
+
+def clear_memos():
+    for memo in MEMOS:
+        memo.clear()
+
+
+def _remember(memo: dict, key, value):
+    if len(memo) >= MEMO_BOUND:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+# ---------------------------------------------------------------------------
 
 class QRat:
     """Canonical rational function in v."""
@@ -220,10 +252,17 @@ class QRat:
 
     # arithmetic ---------------------------------------------------------
     def __add__(self, other):
+        key = (self.num, self.den, other.num, other.den)
+        out = _ADD.get(key)
+        if out is not None:
+            return out
         if self.den == other.den:
-            return QRat(padd(self.num, other.num), self.den)
-        return QRat(padd(pmul(self.num, other.den), pmul(other.num, self.den)),
-                    pmul(self.den, other.den))
+            out = QRat(padd(self.num, other.num), self.den)
+        else:
+            out = QRat(padd(pmul(self.num, other.den),
+                            pmul(other.num, self.den)),
+                       pmul(self.den, other.den))
+        return _remember(_ADD, key, out)
 
     def __neg__(self):
         q = QRat.__new__(QRat)
@@ -236,14 +275,24 @@ class QRat:
     def __mul__(self, other):
         if not self.num or not other.num:
             return ZERO
-        return QRat(pmul(self.num, other.num), pmul(self.den, other.den))
+        key = (self.num, self.den, other.num, other.den)
+        out = _MUL.get(key)
+        if out is None:
+            out = _remember(_MUL, key, QRat(pmul(self.num, other.num),
+                                            pmul(self.den, other.den)))
+        return out
 
     def __truediv__(self, other):
         if not other.num:
             raise ZeroDivisionError("division by the zero rational function")
         if not self.num:
             return ZERO
-        return QRat(pmul(self.num, other.den), pmul(self.den, other.num))
+        key = (self.num, self.den, other.num, other.den)
+        out = _DIV.get(key)
+        if out is None:
+            out = _remember(_DIV, key, QRat(pmul(self.num, other.den),
+                                            pmul(self.den, other.num)))
+        return out
 
     def inverse(self) -> "QRat":
         if not self.num:
@@ -323,10 +372,13 @@ def qvar() -> QRat:
 
 def q_power(exponent) -> QRat:
     """q**e as an element of Q(q); e must be an integer."""
+    out = _POWERS.get(exponent)
+    if out is not None:
+        return out
     e = Fraction(exponent)
     if e.denominator != 1:
         raise ValueError("q**%s is not an integral power of q" % exponent)
-    return QRat.v_power(e.numerator)
+    return _remember(_POWERS, exponent, QRat.v_power(e.numerator))
 
 
 def q_int(m: int, d: int = 1) -> QRat:

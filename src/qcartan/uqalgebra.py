@@ -22,7 +22,8 @@ from fractions import Fraction
 from itertools import product
 
 from .linalg import Echelon, _accumulate, add_scaled, kernel_basis
-from .qfield import ONE, QRat, format_qrat, q_factorial, q_power
+from .qfield import (ONE, QRat, clear_memos, format_qrat, q_factorial,
+                     q_power)
 from .rootsys import RootData, build_root_data
 from .weightspaces import WeightSpaces
 
@@ -117,6 +118,7 @@ class Algebra:
         self.rd = rd
         self.ws = WeightSpaces(rd)
         self.q = q_power(1)
+        clear_memos()       # each engine session starts with empty memos
 
     # -- constructors -----------------------------------------------------
     def zero(self) -> Element:

@@ -130,6 +130,48 @@ def test_equal_section82(capsys):
     assert rc == 0
 
 
+def _count_algebras(monkeypatch) -> list:
+    built = []
+    init = Algebra.__init__
+
+    def counting(self, *args, **kw):
+        built.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(Algebra, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("lhs, rhs, rc_want", [
+    ("B1 B2 B3 B4", "B1 B2 B3 B4", 0),
+    ("B1 B2", "B2 B1", 1),
+])
+def test_equal_builds_one_session(capsys, monkeypatch, lhs, rhs, rc_want):
+    session = ["--pair", "AIII", "--n", "4"]
+    built = _count_algebras(monkeypatch)
+    rc, out = run(["equal"] + session + ["--lhs", lhs, "--rhs", rhs], capsys)
+    assert len(built) == 1
+    assert rc == rc_want
+    if rc_want == 0:
+        assert out == "equal\n"
+    else:
+        _, diff = run(["normal-form"] + session
+                      + ["--expr", "%s - (%s)" % (lhs, rhs)], capsys)
+        assert out == "different\ndifference: " + diff
+
+
+@pytest.mark.parametrize("session", [
+    ["--pair", "AII", "--n", "3"],
+    ["--pair", "EIV"],
+    ["--pair", "DI-1", "--n", "4", "--r", "1"],
+])
+def test_cartan_on_empty_gamma_theta(capsys, session):
+    rc, out = run(["cartan"] + session, capsys)
+    assert (rc, out) == (0, "Gamma_theta is empty, so there is no H_j\n")
+    rc, out = run(["cartan"] + session + ["--json"], capsys)
+    assert (rc, json.loads(out)) == (0, [])
+
+
 def test_theta_system_command(capsys):
     rc, out = run(["theta-system", "--pair", "AIII", "--n", "5", "--r", "2",
                    "--json"], capsys)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcartan.qfield import (ONE, QRat, ZERO, _trim, format_qrat,
-                            gauss_binomial, pcontent, pdivexact, pgcd, pmul,
-                            q_int, q_power, qvar)
+from qcartan import qfield
+from qcartan.qfield import (MEMOS, ONE, QRat, ZERO, _trim, clear_memos,
+                            format_qrat, gauss_binomial, padd, pcontent,
+                            pdivexact, pgcd, pmul, q_int, q_power, qvar)
 
 q = qvar()
 
@@ -324,3 +325,89 @@ def test_canonical_form_matches_sympy_cancel(a, b, common, k):
     g = _igcd(*n, *d) * (1 if d[-1] > 0 else -1)
     assert x.num == tuple(c // g for c in n)
     assert x.den == tuple(c // g for c in d)
+
+
+# -- the per-session memos of +, *, / and q_power ----------------------------
+
+# operands as callers pass them: zero, v-divisible, and with a negative
+# leading denominator coefficient before canonicalisation
+raw_qrats = st.tuples(polys, nonzero_polys, planted, st.integers(0, 2),
+                      st.booleans()).map(
+    lambda t: QRat(_times(t[0], list(t[2]) + [vpow(t[3])]),
+                   pneg_if(t[4], _times(t[1], t[2]))))
+
+
+def pneg_if(flag, p):
+    return tuple(-c for c in p) if flag else p
+
+
+def _fresh(a, b) -> dict:
+    """The three results, canonicalised from scratch without a memo."""
+    out = {"+": QRat(padd(pmul(a.num, b.den), pmul(b.num, a.den)),
+                     pmul(a.den, b.den)),
+           "*": QRat(pmul(a.num, b.num), pmul(a.den, b.den))}
+    if b:
+        out["/"] = QRat(pmul(a.num, b.den), pmul(a.den, b.num))
+    return out
+
+
+def _memoised(a, b) -> dict:
+    out = {"+": a + b, "*": a * b}
+    if b:
+        out["/"] = a / b
+    return out
+
+
+@given(st.lists(st.tuples(raw_qrats, raw_qrats), min_size=1, max_size=8),
+       st.lists(st.integers(-12, 12), max_size=8), st.integers(1, 5))
+@settings(max_examples=120, deadline=None)
+def test_memoised_arithmetic_matches_fresh(pairs, exponents, bound):
+    # a small bound makes the memos empty themselves often, so results are
+    # read both as hits and after the bound has emptied a memo
+    saved = qfield.MEMO_BOUND
+    qfield.MEMO_BOUND = bound
+    try:
+        clear_memos()
+        rounds = []
+        for _ in range(2):
+            rounds.append([])
+            for a, b in pairs:
+                rounds[-1].append(_memoised(a, b))
+                assert all(len(memo) <= bound for memo in MEMOS)
+        for (a, b), first, again in zip(pairs, *rounds):
+            want = _fresh(a, b)
+            assert first == want and again == want
+            for x in first.values():
+                _assert_canonical(x)
+        for e in exponents + exponents:
+            assert q_power(e) == QRat.v_power(e) == q_power(Fraction(e))
+            assert all(len(memo) <= bound for memo in MEMOS)
+    finally:
+        qfield.MEMO_BOUND = saved
+        clear_memos()
+
+
+def test_memo_returns_the_canonical_result_it_stored():
+    clear_memos()
+    a, b = QRat((0, 2), (-2, 0, 2)), QRat((1, 1), (0, 1))
+    assert (a.num, a.den) == ((0, 1), (-1, 0, 1))
+    assert a * b is a * b and a + b is a + b and a / b is a / b
+    assert q_power(-3) is q_power(-3)
+    assert a * ZERO is ZERO and ZERO / b is ZERO
+    clear_memos()
+    assert all(not memo for memo in MEMOS)
+    assert a * b == QRat(pmul(a.num, b.num), pmul(a.den, b.den))
+
+
+def test_memos_stay_within_their_bound():
+    clear_memos()
+    rng = random.Random(20261018)
+    xs = [rand_qrat(rng) for _ in range(60)]
+    for a in xs:
+        for b in xs:
+            a * b + b
+            a / b
+        q_power(rng.randint(-3000, 3000))
+        assert all(len(memo) <= qfield.MEMO_BOUND for memo in MEMOS)
+    clear_memos()
+

@@ -1,13 +1,20 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from conftest import shared_algebra
 
+import qcartan
 from qcartan.involutions import build_involution
 from qcartan.linalg import Echelon, kernel_basis
-from qcartan.qfield import ONE, QRat, gauss_binomial, q_power, qvar
+from qcartan.qfield import (MEMOS, ONE, QRat, gauss_binomial, q_power,
+                            qvar)
+from qcartan.uqalgebra import Algebra
 
 
 def test_reduce_serre_to_zero(a2):
@@ -364,3 +371,39 @@ def test_k_exponent_outside_weight_lattice_raises(a2):
         a2.E(2) * a2.K(half)
     x = a2.E(1) * a2.K((Fraction(2, 3), Fraction(1, 3)))
     assert a2.render(x) == "q^-1 K[2/3,1/3] E1"
+
+
+def test_new_algebra_empties_the_qfield_memos(a2):
+    x = a2.E(1) * a2.F(1) * a2.E(1)
+    assert x.terms and any(MEMOS)
+    Algebra("B", 2)
+    assert not any(MEMOS)
+
+
+_SESSIONS_SCRIPT = """
+import contextlib, io, json
+from qcartan.cli import main
+
+def run(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(args)
+    return rc, out.getvalue()
+
+verify = ["verify", "all", "--pair", "AIII", "--n", "3", "--json"]
+first = run(verify)
+run(["cartan", "--pair", "BI", "--n", "3", "--r", "2"])
+print(json.dumps([first, run(verify)]))
+"""
+
+
+def test_session_output_does_not_depend_on_earlier_sessions():
+    # memos are emptied per Algebra, so an earlier session's entries cannot
+    # reach a later one; run in a fresh process so the first run is first
+    src = os.path.dirname(os.path.dirname(qcartan.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _SESSIONS_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    first, later = json.loads(proc.stdout)
+    assert first[0] == 0 and first == later
+    assert json.loads(first[1])["cartan_suite"]
