@@ -143,6 +143,8 @@ def cmd_cartan(ns) -> int:
         raise ValueError("cartan needs --pair")
     ts = gamma_theta(ns.pair, ns.n, ns.r)
     par = CoidealParams(ts.involution)
+    if ns.j is not None and not ts.entries:
+        raise ValueError("Gamma_theta is empty, so there is no H_%d" % ns.j)
     if ns.j is not None and not 1 <= ns.j <= len(ts.entries):
         raise ValueError("--j must lie in 1..%d" % len(ts.entries))
     js = range(1, len(ts.entries) + 1) if ns.j is None else [ns.j]

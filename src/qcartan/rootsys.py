@@ -289,12 +289,16 @@ def kostant_partition_count(rd: RootData, beta: Weight) -> int:
     """Number of multisets of positive roots summing to beta (independent
     enumeration; the oracle for PBW weight-space dimensions)."""
     roots = rd.positive_roots
+    memo: dict = {}     # (target, idx) -> count
 
     def count(target, idx):
         if not any(target):
             return 1
         if idx == len(roots):
             return 0
+        got = memo.get((target, idx))
+        if got is not None:
+            return got
         r = roots[idx]
         total = 0
         cur = target
@@ -303,6 +307,7 @@ def kostant_partition_count(rd: RootData, beta: Weight) -> int:
             cur = tuple(a - b for a, b in zip(cur, r))
             if any(c < 0 for c in cur):
                 break
+        memo[target, idx] = total
         return total
 
     if any(c < 0 or c.denominator != 1 for c in beta):

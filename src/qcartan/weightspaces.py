@@ -11,6 +11,25 @@ Words are tuples of 1-based simple-root indices; the stored reduction data
 expresses every generator-times-basis product in basis coordinates, so any
 free word reduces by peeling letters from the left.  Basis words are the
 lex-least spanning words, giving one canonical choice per weight space.
+
+Each spanning word's stacked commutator vector is computed exactly, and the
+dependencies among them are found in three steps:
+
+1. Choose over F_P, P = 2^61 - 1: the vectors are evaluated at a point v0
+   and reduced greedily in spanning order, which picks the basis words and
+   one pivot key per basis word (dim keys of about 3.7 dim).
+2. Solve exactly on the pivots: every vector, restricted to those keys, is
+   reduced in spanning order by `linalg.Echelon`, which gives each
+   dependent word's relation over the earlier basis words.
+3. Check each relation exactly on every key.
+
+The result is exact whatever v0 is.  A vector independent on the pivot keys
+is independent, and every dependent word carries a relation checked on all
+keys, so steps 2 and 3 alone decide the lex-least basis; step 1 only says
+which keys step 2 reads.  Independence at a point implies independence over
+Q(v), so a bad point can only make a word look dependent.  Then step 2
+disagrees with step 1 or step 3 fails, or else a denominator vanishes at
+v0; in each case the weight is rebuilt at the next point of POINTS.
 """
 
 from __future__ import annotations
@@ -18,6 +37,87 @@ from __future__ import annotations
 from .linalg import Echelon, add_scaled
 from .qfield import ONE, q_power
 from .rootsys import RootData, kostant_partition_count
+
+P = (1 << 61) - 1
+# tried in order; 37 is a primitive root mod P, so 37**k has multiplicative
+# order at least (P - 1)/16 and no quantum integer vanishes at any of them
+POINTS = tuple(pow(37, k, P) for k in range(1, 17))
+
+
+class _BadPoint(Exception):
+    """The evaluation point cannot choose this weight's basis."""
+
+
+def _choose(vectors: list, v0: int) -> dict:
+    """Greedy echelon of the vectors at v = v0 mod P, in order: maps the
+    number of each vector found independent to its pivot key."""
+    values: dict = {}   # (num, den) -> value at v0
+
+    def at(x):
+        key = (x.num, x.den)
+        got = values.get(key)
+        if got is None:
+            top = bot = 0
+            for c in reversed(x.num):
+                top = (top * v0 + c) % P
+            for c in reversed(x.den):
+                bot = (bot * v0 + c) % P
+            if not bot:
+                raise _BadPoint("a denominator vanishes at %d" % v0)
+            got = values[key] = top * pow(bot, -1, P) % P
+        return got
+
+    rows: dict = {}     # pivot key -> row, 1 at the pivot
+    chosen = {}
+    for num, vec in enumerate(vectors):
+        red = {}
+        for k, x in vec.items():
+            c = at(x)
+            if c:
+                red[k] = c
+        for pivot in sorted(rows):
+            c = red.get(pivot)
+            if c:
+                for k, x in rows[pivot].items():
+                    y = (red.get(k, 0) - c * x) % P
+                    if y:
+                        red[k] = y
+                    else:
+                        del red[k]
+        if red:
+            pivot = min(red)
+            inv = pow(red[pivot], -1, P)
+            rows[pivot] = {k: x * inv % P for k, x in red.items()}
+            chosen[num] = pivot
+    return chosen
+
+
+def _solve(vectors: list, v0: int) -> dict:
+    """The relation of each dependent vector over the earlier independent
+    ones, as {number: {earlier number: coefficient}}, exact over Q(v).
+
+    The basis and one pivot key per basis vector are chosen at v0; the
+    relations are solved exactly on the pivot keys alone and then checked
+    exactly on every key.  Raises _BadPoint when v0 hides an independence.
+    """
+    chosen = _choose(vectors, v0)
+    pivots = set(chosen.values())
+    ech = Echelon(track=True)
+    relations = {}
+    for num, vec in enumerate(vectors):
+        is_new, rel = ech.add({k: c for k, c in vec.items() if k in pivots})
+        if is_new != (num in chosen):
+            raise _BadPoint("the exact solve disagrees at %d" % v0)
+        if not is_new:
+            del rel[num]
+            residual = dict(vec)
+            for m, c in rel.items():
+                add_scaled(residual, vectors[m], c)
+            if residual:
+                raise _BadPoint("a relation fails off the pivots at %d" % v0)
+            # vec = -(sum of the earlier vectors in its relation)
+            relations[num] = {m: -c for m, c in rel.items()}
+    return relations
 
 
 class _Space:
@@ -82,17 +182,15 @@ class WeightSpaces:
                           for b in sp.basis)
 
         # commutator data: [E_k, x] = A_k(x) K_k + K_k^{-1} B_k(x)
-        ab_new: dict = {}
-
         def psi(word):
             i = word[0]
             b = word[1:]
             g = lowers[i][0]
-            out_a, out_b = {}, {}
+            parts = {}
             stacked = {}
             for k in range(1, n + 1):
                 if k not in lowers:
-                    out_a[k], out_b[k] = {}, {}
+                    parts[k] = ({}, {})
                     continue
                 spk = lowers[k][1]
                 a_b, b_b = self.commutator(k, b)
@@ -106,29 +204,36 @@ class WeightSpaces:
                 if k == i:
                     add_scaled(av, {b: g})
                     add_scaled(bv, {b: -self._qafac[k]})
-                out_a[k], out_b[k] = av, bv
+                parts[k] = (av, bv)
                 for lw, c in av.items():
                     stacked[("A", k, lw)] = c
                 for lw, c in bv.items():
                     stacked[("B", k, lw)] = c
-            return stacked, out_a, out_b
+            return stacked, parts
 
-        ech = Echelon(track=True)
+        found = [psi(word) for word in spanning]
+        vectors = [stacked for stacked, _ in found]
+        for v0 in POINTS:
+            try:
+                relations = _solve(vectors, v0)
+                break
+            except _BadPoint:
+                continue
+        else:
+            raise AssertionError("no evaluation point certified %r"
+                                 % (weight,))
         basis = []
         coords = {}
+        ab_new = {}
         for num, word in enumerate(spanning):
-            stacked, out_a, out_b = psi(word)
-            is_new, rel = ech.add(stacked)
-            key = (word[0], word[1:])
-            if is_new:
+            rel = relations.get(num)
+            if rel is None:
                 basis.append(word)
-                coords[key] = {word: ONE}
-                for k in range(1, n + 1):
-                    ab_new[(k, word)] = (out_a[k], out_b[k])
-            else:
-                # word = -(sum of the earlier words in its relation)
-                coords[key] = {spanning[m]: -c for m, c in rel.items()
-                               if m != num}
+                rel = {num: ONE}
+                ab_new.update(((k, word), ab)
+                              for k, ab in found[num][1].items())
+            coords[word[0], word[1:]] = {spanning[m]: c
+                                         for m, c in rel.items()}
         sp = _Space(tuple(basis), coords, ab_new)
 
         expected = kostant_partition_count(rd, weight)

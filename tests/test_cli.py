@@ -172,6 +172,14 @@ def test_cartan_on_empty_gamma_theta(capsys, session):
     assert (rc, json.loads(out)) == (0, [])
 
 
+@pytest.mark.parametrize("j", ["1", "2"])
+def test_cartan_j_on_empty_gamma_theta(capsys, j):
+    assert main(["cartan", "--pair", "AII", "--n", "3", "--j", j]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == "error: Gamma_theta is empty, so there is no H_%s\n" % j
+
+
 def test_theta_system_command(capsys):
     rc, out = run(["theta-system", "--pair", "AIII", "--n", "5", "--r", "2",
                    "--json"], capsys)

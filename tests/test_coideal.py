@@ -460,6 +460,20 @@ def test_exceptional_cartan_element(label, n, r, j):
     assert rep.H.to_json() == want["%s j=%d" % (_pair_name(label, n, r), j)]
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("label,n,r", [
+    pytest.param(*pair, id=_pair_name(*pair))
+    for pair in (("CII-1", 4, 2), ("CII-2", 4, None), ("DIII-2", 5, None))])
+def test_full_cartan_report(label, n, r):
+    # every H_j of the pair with its full report, as `qcartan cartan` runs
+    # them; their case-2 lifts build weight spaces of dimension 25 to 55
+    ts = gamma_theta(label, n, r)
+    par = CoidealParams(ts.involution)
+    for j in range(1, len(ts.entries) + 1):
+        rep = cartan_element(par, ts, j)
+        assert rep.ok(), (j, rep.checks)
+
+
 def test_golden_h_prime():
     for n in (2, 3):
         par = shared_params("AIII", n, (n + 1) // 2)

@@ -168,6 +168,15 @@ def test_kostant_counts():
     assert kostant_partition_count(b2, b2.weight((1, 2))) == 3
 
 
+@pytest.mark.parametrize("family,rank,count", [
+    ("D", 5, 55), ("F", 4, 289), ("E", 6, 622)])
+def test_kostant_count_at_highest_root(family, rank, count):
+    # dim U^-_{-theta} at the highest root theta, independent of the tables
+    rd = build_root_data(family, rank)
+    highest = max(rd.positive_roots, key=rd.height)
+    assert kostant_partition_count(rd, highest) == count
+
+
 def test_weights_up_to_height():
     a2 = build_root_data("A", 2)
     ws = list(weights_up_to_height(a2, 2))
