@@ -51,11 +51,10 @@ class _BadPoint(Exception):
 def _choose(vectors: list, v0: int) -> dict:
     """Greedy echelon of the vectors at v = v0 mod P, in order: maps the
     number of each vector found independent to its pivot key."""
-    values: dict = {}   # (num, den) -> value at v0
+    values: dict = {}   # QRat, keyed by its (num, den) -> value at v0
 
     def at(x):
-        key = (x.num, x.den)
-        got = values.get(key)
+        got = values.get(x)
         if got is None:
             top = bot = 0
             for c in reversed(x.num):
@@ -64,7 +63,7 @@ def _choose(vectors: list, v0: int) -> dict:
                 bot = (bot * v0 + c) % P
             if not bot:
                 raise _BadPoint("a denominator vanishes at %d" % v0)
-            got = values[key] = top * pow(bot, -1, P) % P
+            got = values[x] = top * pow(bot, -1, P) % P
         return got
 
     rows: dict = {}     # pivot key -> row, 1 at the pivot
@@ -98,7 +97,8 @@ def _solve(vectors: list, v0: int) -> dict:
 
     The basis and one pivot key per basis vector are chosen at v0; the
     relations are solved exactly on the pivot keys alone and then checked
-    exactly on every key.  Raises _BadPoint when v0 hides an independence.
+    exactly on every key.  Raises _BadPoint when a denominator vanishes at
+    v0 or v0 hides an independence.
     """
     chosen = _choose(vectors, v0)
     pivots = set(chosen.values())
