@@ -127,27 +127,27 @@ class CoidealParams:
     def project(self, x: Element) -> Element:
         return self.algebra.project_P(x, self.involution)
 
-    def complete_to_projection(self, target: Element,
-                               _depth: int = 0) -> Element:
-        """The unique b in B_theta with P(b) = target, found by induction:
-        expand the target over B-words, then peel the projection defect,
-        whose weights strictly drop."""
+    def complete_to_projection(self, target: Element) -> Element:
+        """The unique b in B_theta with P(b) = target: expand the target over
+        B-words, then add the expansion of the projection defect
+        target - P(b), whose weights strictly drop, until it vanishes."""
         alg = self.algebra
-        if target.is_zero():
-            return alg.zero()
         if self.project(target) != target:
             raise ValueError("completion target must lie in U^- M^+ T_theta")
-        if _depth > 4 * sum(len(t[0]) for t in target.terms) + 8:
+        b = alg.zero()
+        defect = target
+        for _ in range(4 * sum(len(t[0]) for t in target.terms) + 9):
+            if defect.is_zero():
+                return b
+            terms = dict(b.terms)
+            for (u, mu, v), c in defect.terms.items():
+                tail = Element(alg, {((), mu, v): c})
+                add_scaled(terms, (self.B_word(u) * tail).terms)
+            b = Element(alg, terms)
+            defect = target - self.project(b)
+        if not defect.is_zero():
             raise AssertionError("completion failed to terminate")
-        terms: dict = {}
-        for (u, mu, v), c in target.terms.items():
-            tail = Element(alg, {((), mu, v): c})
-            add_scaled(terms, (self.B_word(u) * tail).terms)
-        b = Element(alg, terms)
-        defect = self.project(b) - target
-        if defect.is_zero():
-            return b
-        return b - self.complete_to_projection(defect, _depth + 1)
+        return b
 
     def membership(self, x: Element) -> bool:
         return self.complete_to_projection(self.project(x)) == x

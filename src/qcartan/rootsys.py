@@ -285,34 +285,31 @@ def _longest_word(rd: RootData, subset: tuple) -> tuple[int, ...]:
     return tuple(word)
 
 
+def weights_below(beta: Weight) -> list:
+    """Every weight w with 0 <= w <= beta, sorted by height (lex within a
+    height), so each w - alpha_i comes before w: the one walk that builds
+    tables, counts partitions and spans ad-submodules up to beta."""
+    return sorted(itertools.product(*(range(c + 1) for c in beta)), key=sum)
+
+
 def kostant_partition_count(rd: RootData, beta: Weight) -> int:
     """Number of multisets of positive roots summing to beta (independent
-    enumeration; the oracle for PBW weight-space dimensions)."""
-    roots = rd.positive_roots
-    memo: dict = {}     # (target, idx) -> count
-
-    def count(target, idx):
-        if not any(target):
-            return 1
-        if idx == len(roots):
-            return 0
-        got = memo.get((target, idx))
-        if got is not None:
-            return got
-        r = roots[idx]
-        total = 0
-        cur = target
-        while True:
-            total += count(cur, idx + 1)
-            cur = tuple(a - b for a, b in zip(cur, r))
-            if any(c < 0 for c in cur):
-                break
-        memo[target, idx] = total
-        return total
-
+    enumeration; the oracle for PBW weight-space dimensions), counted as
+    coin change with one pass per positive root over the weights below
+    beta."""
     if any(c < 0 or c.denominator != 1 for c in beta):
         return 0
-    return count(beta, 0)
+    below = weights_below(tuple(int(c) for c in beta))
+    count = dict.fromkeys(below, 0)
+    count[below[0]] = 1
+    for r in rd.positive_roots:
+        if any(a > b for a, b in zip(r, beta)):
+            continue
+        for w in below:
+            low = tuple(a - b for a, b in zip(w, r))
+            if low in count:
+                count[w] += count[low]
+    return count[below[-1]]
 
 
 def weights_up_to_height(rd: RootData, maxht: int):

@@ -24,7 +24,7 @@ from itertools import product
 from .linalg import Echelon, _accumulate, add_scaled, kernel_basis
 from .qfield import (ONE, QRat, clear_memos, format_qrat, q_factorial,
                      q_power)
-from .rootsys import RootData, build_root_data
+from .rootsys import RootData, build_root_data, weights_below
 from .weightspaces import WeightSpaces
 
 Term = tuple  # (f_word, k_exp, e_word)
@@ -402,40 +402,22 @@ class Algebra:
 
     def ad_span(self, side: str, beta, k_start: Element) -> list[Element]:
         """A basis of the span of (ad X_w) k_start over words of weight beta,
-        X = F (side '-') or E (side '+'), found layer by layer in weight."""
+        X = F (side '-') or E (side '+'), found weight by weight from below:
+        at w, ad X_i for i = rank, ..., 1 on the basis kept at w - alpha_i."""
         rd = self.rd
+        act = self.ad_F if side == "-" else self.ad_E
         target = rd.weight(beta)
-        layers = {rd.zero(): [k_start]}
-        order = [rd.zero()]
-        for _ in range(sum(target)):
-            new_order = []
-            for w in order:
-                for i in range(1, rd.rank + 1):
-                    nw = list(w)
-                    nw[i - 1] += 1
-                    nw = tuple(nw)
-                    if any(a > b for a, b in zip(nw, target)):
-                        continue
-                    if nw not in layers:
-                        layers[nw] = []
-                        new_order.append(nw)
-                    act = self.ad_F if side == "-" else self.ad_E
-                    for x in layers[w]:
-                        y = act(i, x)
-                        if y:
-                            layers[nw].append(y)
-            # trim each new layer to an independent set
-            for nw in new_order:
-                ech = Echelon()
-                keep = []
-                for x in layers[nw]:
-                    if ech.add(x.terms)[0]:
-                        keep.append(x)
-                layers[nw] = keep
-            order = new_order
-            if not order:
-                break
-        return layers.get(target, [])
+        spans = {rd.zero(): [k_start]}
+        for w in weights_below(target)[1:]:
+            ech = Echelon()
+            keep = spans[w] = []
+            for i in range(rd.rank, 0, -1):
+                low = w[:i - 1] + (w[i - 1] - 1,) + w[i:]
+                for x in spans.get(low, ()):
+                    y = act(i, x)
+                    if y and ech.add(y.terms)[0]:
+                        keep.append(y)
+        return spans.get(target, [])
 
     def ad_submodule_membership(self, x: Element, nu_index: int,
                                 sign: str = "-", alpha_prime=None) -> bool:

@@ -1,11 +1,14 @@
 """Canonical bases of the U^+/U^- weight spaces.
 
 The quantum Serre quotient is computed by weight-graded linear algebra, one
-weight space at a time and inductively in height.  A weight space is spanned
-by generator-times-lower-basis words; dependencies among those are detected
-through the commutator maps [E_k, -], which are injective on U^- in negative
-weights (the nondegeneracy of the standard pairing).  Both signs share these
-tables because the E- and F-side Serre relations are identical.
+weight space at a time.  Asking for a space builds it bottom-up: every
+missing weight below it, lowest height first (`rootsys.weights_below`), so
+each build reads the spaces one simple root lower from the table and nothing
+recurses.  A weight space is spanned by generator-times-lower-basis words;
+dependencies among those are detected through the commutator maps [E_k, -],
+which are injective on U^- in negative weights (the nondegeneracy of the
+standard pairing).  Both signs share these tables because the E- and F-side
+Serre relations are identical.
 
 Words are tuples of 1-based simple-root indices; the stored reduction data
 expresses every generator-times-basis product in basis coordinates, so any
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from .linalg import Echelon, add_scaled
 from .qfield import ONE, q_power
-from .rootsys import RootData, kostant_partition_count
+from .rootsys import RootData, kostant_partition_count, weights_below
 
 P = (1 << 61) - 1
 # tried in order; 37 is a primitive root mod P, so 37**k has multiplicative
@@ -146,10 +149,18 @@ class WeightSpaces:
 
     # -- space construction ----------------------------------------------
     def space(self, weight: tuple) -> _Space:
+        """The space at `weight`, building it and every missing weight below
+        it first, lowest height first, so that `_build` finds each space
+        one simple root lower already in the table."""
         got = self._spaces.get(weight)
         if got is None:
-            got = self._build(weight)
-            self._spaces[weight] = got
+            if any(c < 0 for c in weight):
+                raise ValueError("weight not in the positive cone: %r"
+                                 % (weight,))
+            for low in weights_below(weight):
+                if low not in self._spaces:
+                    self._spaces[low] = self._build(low)
+            got = self._spaces[weight]
         return got
 
     def dimension(self, weight: tuple) -> int:
@@ -161,10 +172,7 @@ class WeightSpaces:
     def _build(self, weight: tuple) -> _Space:
         rd = self.rd
         n = rd.rank
-        if any(c < 0 for c in weight):
-            raise ValueError("weight not in the positive cone: %r" % (weight,))
-        ht = sum(weight)
-        if ht == 0:
+        if not any(weight):
             return _Space(((),), {}, {(k, ()): ({}, {})
                                       for k in range(1, n + 1)})
 
@@ -176,7 +184,7 @@ class WeightSpaces:
                 low = tuple(c - (1 if j == i - 1 else 0)
                             for j, c in enumerate(weight))
                 g = self._qafac[i] * q_power(-rd.inner(rd.simple(i), low))
-                lowers[i] = (g, self.space(low))
+                lowers[i] = (g, self._spaces[low])
 
         spanning = sorted((i,) + b for i, (_, sp) in lowers.items()
                           for b in sp.basis)

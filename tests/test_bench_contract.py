@@ -93,3 +93,16 @@ def test_tracer_counts_and_restores():
     assert linalg.Echelon.add is add
     for owner, name, original in wrapped:
         assert owner.__dict__[name] is original, (owner, name)
+
+
+def test_space_builds_exactly_the_weights_below():
+    # products-warm counts the A4 spaces built in set-up and checks that
+    # its timed phase builds none, so `space` must build what lies below
+    # the weight it is asked for and nothing more
+    rd = rootsys.build_root_data("A", 4)
+    ws = WeightSpaces(rd)
+    ws.space((1, 2, 0, 1))
+    assert set(ws._spaces) == set(rootsys.weights_below((1, 2, 0, 1)))
+    for w in rootsys.weights_up_to_height(rd, 6):
+        ws.space(w)
+    assert len(ws._spaces) == 210

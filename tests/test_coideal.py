@@ -164,6 +164,19 @@ def test_completion_and_membership():
         par.complete_to_projection(alg.E(1))
 
 
+def test_completion_stops_when_the_defect_never_vanishes(monkeypatch):
+    # a projection that kills every expansion leaves the defect at the
+    # target forever; the loop must give up, not spin
+    base = shared_params("AIII", 2, 1)
+    par = CoidealParams(base.involution, base.algebra)
+    alg = par.algebra
+    tgt = alg.F(1)
+    monkeypatch.setattr(par, "project",
+                        lambda x: tgt if x is tgt else alg.zero())
+    with pytest.raises(AssertionError, match="failed to terminate"):
+        par.complete_to_projection(tgt)
+
+
 def test_completion_random_targets():
     rng = random.Random(2026)
     for n in (2, 3, 4):
@@ -304,6 +317,47 @@ def test_cartan_reports_other_families():
             for b in range(a + 1, len(hs)):
                 assert (hs[a] * hs[b] - hs[b] * hs[a]).is_zero(), \
                     (label, n, r, a + 1, b + 1)
+
+
+def _ad_span_by_layers(alg, side, beta, k_start) -> list:
+    """The ad-span searched breadth-first, one height layer at a time, each
+    new layer trimmed to an independent set in the order it was found."""
+    rd = alg.rd
+    act = alg.ad_F if side == "-" else alg.ad_E
+    layers = {rd.zero(): [k_start]}
+    order = [rd.zero()]
+    for _ in range(sum(beta)):
+        new_order = []
+        for w in order:
+            for i in range(1, rd.rank + 1):
+                nw = w[:i - 1] + (w[i - 1] + 1,) + w[i:]
+                if any(a > b for a, b in zip(nw, beta)):
+                    continue
+                if nw not in layers:
+                    layers[nw] = []
+                    new_order.append(nw)
+                layers[nw].extend(y for x in layers[w] if (y := act(i, x)))
+        for nw in new_order:
+            ech = Echelon()
+            layers[nw] = [x for x in layers[nw] if ech.add(x.terms)[0]]
+        order = new_order
+    return layers.get(beta, [])
+
+
+@pytest.mark.parametrize("pair,n,r", [
+    ("CII-1", 3, 2), ("BI", 3, 2), ("DIII-1", 4, None), ("G", None, None),
+    ("EI", None, None)])
+def test_ad_span_matches_layer_search(pair, n, r):
+    # the same basis in the same order, which membership tests read
+    par = shared_params(pair, n, r)
+    alg, rd = par.algebra, par.algebra.rd
+    for entry in gamma_theta(pair, n, r).entries:
+        nu = rd.fundamental_weights[entry.alpha_beta - 1]
+        start = alg.K(tuple(-2 * c for c in nu))
+        for side in "-+":
+            assert alg.ad_span(side, entry.beta, start) == \
+                _ad_span_by_layers(alg, side, entry.beta, start), \
+                (entry.beta, side)
 
 
 def test_case5_membership_goes_through_ad_F_alpha_prime():

@@ -1,7 +1,7 @@
 import pytest
 
 from qcartan.rootsys import (build_root_data, kostant_partition_count,
-                             weights_up_to_height)
+                             weights_below, weights_up_to_height)
 
 TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 2),
          ("C", 3), ("D", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)]
@@ -175,6 +175,52 @@ def test_kostant_count_at_highest_root(family, rank, count):
     rd = build_root_data(family, rank)
     highest = max(rd.positive_roots, key=rd.height)
     assert kostant_partition_count(rd, highest) == count
+
+
+def _kostant_by_enumeration(rd, beta) -> int:
+    """Multisets of positive roots summing to beta, enumerated root by root
+    (how many of each), memoised on (remaining weight, root index)."""
+    roots = rd.positive_roots
+    memo: dict = {}
+
+    def count(target, idx):
+        if not any(target):
+            return 1
+        if idx == len(roots):
+            return 0
+        got = memo.get((target, idx))
+        if got is None:
+            got = 0
+            cur = target
+            while all(c >= 0 for c in cur):
+                got += count(cur, idx + 1)
+                cur = tuple(a - b for a, b in zip(cur, roots[idx]))
+            memo[target, idx] = got
+        return got
+
+    return count(beta, 0)
+
+
+@pytest.mark.parametrize("family,rank,maxht", [
+    ("B", 3, 6), ("C", 3, 6), ("D", 4, 6), ("F", 4, 6), ("G", 2, 6),
+    ("E", 6, 4)])
+def test_kostant_count_matches_enumeration(family, rank, maxht):
+    rd = build_root_data(family, rank)
+    for beta in weights_up_to_height(rd, maxht):
+        assert kostant_partition_count(rd, beta) == \
+            _kostant_by_enumeration(rd, beta), beta
+
+
+def test_weights_below():
+    below = weights_below((1, 2))
+    assert below == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (1, 2)]
+    # each w - alpha_i comes before w
+    seen = set()
+    for w in weights_below((2, 1, 3)):
+        assert all(w[:i] + (w[i] - 1,) + w[i + 1:] in seen
+                   for i in range(3) if w[i])
+        seen.add(w)
+    assert len(seen) == 3 * 2 * 4
 
 
 def test_weights_up_to_height():

@@ -10,6 +10,7 @@ intended change, named in CHANGES.md) with
 
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -107,6 +108,32 @@ def test_dropped_independent_word_is_caught(monkeypatch, drop, reasons):
     assert tables("G", 2) == _golden("G", 2)
     assert dropped and len(failures) == len(dropped)
     assert {f.split(" at ")[0] for f in failures} == reasons
+
+
+def test_negative_weight_is_refused():
+    ws = WeightSpaces(build_root_data("A", 2))
+    with pytest.raises(ValueError):
+        ws.space((1, -1))
+    assert not ws._spaces
+
+
+def test_high_weight_builds_without_recursion():
+    # the tables are built bottom-up, so a height-60 space needs no more
+    # stack than a height-1 one
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    ws = WeightSpaces(build_root_data("A", 1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        sp = ws.space((60,))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sp.basis == ((1,) * 60,)
+    assert len(ws._spaces) == 61
 
 
 if __name__ == "__main__":
