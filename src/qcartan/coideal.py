@@ -69,11 +69,10 @@ class CoidealParams:
         pi = inv.p[i - 1]
         target = tuple(-c for c in inv.apply(rd.simple(i)))
         rest = tuple(t - s for t, s in zip(target, rd.simple(pi)))
-        if not any(rest):
-            return alg.E(pi)
         # (ad E-words) E_{p(i)} at the target weight; since
         # theta(alpha_i) = -w_X(alpha_{p(i)}), Supp(rest) lies inside
-        # pi_theta, so only pi_theta letters occur
+        # pi_theta (rest = 0: w_X fixes alpha_{p(i)}, each ad E_j kills
+        # E_{p(i)}, and the kernel is E_{p(i)} itself)
         kerns = alg.ad_kernel(alg.ad_span("+", rest, alg.E(pi)),
                               [("E", j) for j in sorted(inv.pi_theta)])
         if len(kerns) != 1:

@@ -14,6 +14,8 @@ Grammar (whitespace-insensitive):
             | 'Ki' int | 'Ki-' int
 
 Errors carry the token position.  B-generators need a coideal session.
+Brackets, function, `ad` and `T` arguments and the prefix '-' all recurse
+through `factor`, which refuses to nest deeper than MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from fractions import Fraction
 from .linalg import add_scaled
 from .qfield import QRat
 from .uqalgebra import Element, LusztigT, q_comm
+
+MAX_NESTING = 200
 
 _TOKEN = re.compile(r"""
     (?P<KIINV>Ki-(?=\d))
@@ -58,6 +62,7 @@ class Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.i = 0
+        self.depth = 0      # factors open around the current one
 
     def peek(self):
         return self.toks[self.i]
@@ -103,7 +108,12 @@ class Parser:
         return ("prod", tuple(factors))
 
     def factor(self):
+        if self.depth > MAX_NESTING:
+            raise SyntaxError("nesting deeper than %d at position %d"
+                              % (MAX_NESTING, self.peek()[2]))
+        self.depth += 1
         node = self.atom()
+        self.depth -= 1
         if self.peek()[:2] == ("SYM", "^"):
             self.take()
             sign = 1

@@ -12,9 +12,11 @@ Canonicalisation works in Z[v] alone. The gcd splits off the power of v
 before its pseudo-remainder sequence, and the cofactors come from exact
 integer division (Gauss's lemma: dividing by a primitive gcd leaves
 integer quotients), so no Fraction is formed on the arithmetic path.
+Division multiplies by the inverse, which swaps numerator and denominator
+and fixes the sign: a canonical pair stays canonical, so it takes no gcd.
 
 Within one engine session the same few thousand operand pairs recur, so
-`+`, `*`, `/` and `q_power` remember their canonical results (memo
+`+`, `*` and `q_power` remember their canonical results (memo
 functions; Michie, Nature 218, 1968).  A hit returns the QRat already
 built, which is safe because a QRat is immutable and its canonical form
 is unique.  Each memo holds at most MEMO_BOUND entries and is emptied
@@ -171,9 +173,8 @@ def _mult_at_one(a: tuple) -> tuple[int, tuple]:
 MEMO_BOUND = 1024
 _ADD: dict = {}         # (a.num, a.den, b.num, b.den) -> a + b
 _MUL: dict = {}         # (a.num, a.den, b.num, b.den) -> a * b
-_DIV: dict = {}         # (a.num, a.den, b.num, b.den) -> a / b
 _POWERS: dict = {}      # exponent -> q**exponent
-MEMOS = (_ADD, _MUL, _DIV, _POWERS)
+MEMOS = (_ADD, _MUL, _POWERS)
 
 
 def clear_memos():
@@ -275,6 +276,10 @@ class QRat:
     def __mul__(self, other):
         if not self.num or not other.num:
             return ZERO
+        if other.num == other.den:      # only 1 has num == den
+            return self
+        if self.num == self.den:
+            return other
         key = (self.num, self.den, other.num, other.den)
         out = _MUL.get(key)
         if out is None:
@@ -283,21 +288,17 @@ class QRat:
         return out
 
     def __truediv__(self, other):
-        if not other.num:
-            raise ZeroDivisionError("division by the zero rational function")
-        if not self.num:
-            return ZERO
-        key = (self.num, self.den, other.num, other.den)
-        out = _DIV.get(key)
-        if out is None:
-            out = _remember(_DIV, key, QRat(pmul(self.num, other.den),
-                                            pmul(self.den, other.num)))
-        return out
+        return self * other.inverse()
 
     def inverse(self) -> "QRat":
-        if not self.num:
+        num, den = self.den, self.num
+        if not den:
             raise ZeroDivisionError("inverse of zero")
-        return QRat(self.den, self.num)
+        if den[-1] < 0:
+            num, den = pneg(num), pneg(den)
+        q = QRat.__new__(QRat)
+        q.num, q.den, q._hash = num, den, None
+        return q
 
     def __pow__(self, k: int) -> "QRat":
         if k < 0:

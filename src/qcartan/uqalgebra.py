@@ -164,27 +164,32 @@ class Algebra:
             raise ValueError("generator index %d out of range" % i)
 
     def from_terms(self, items) -> Element:
-        """The element with these (term, coefficient) pairs.  Unlike every
-        other constructor it takes free words; but a product moves only a
-        basis E-word past an F."""
+        """The element with these (term, coefficient) pairs, whose F- and
+        E-words may be free: the one place where words are reduced to the
+        weight-space bases."""
         out: dict = {}
-        for t, c in items:
-            _accumulate(out, t, _as_qrat(c))
+        for (u, mu, v), c in items:
+            c = _as_qrat(c)
+            e_v = self.ws.reduce_word(v)
+            for b, cb in self.ws.reduce_word(u).items():
+                cb = c * cb
+                for w, cw in e_v.items():
+                    _accumulate(out, (b, mu, w), cb * cw)
         return Element(self, out)
 
     # -- multiplication -----------------------------------------------------
     def _times_F(self, terms: dict, j: int) -> dict:
-        """terms * F_j.  The table's [E_j, F_v] = A K_j + K_j^{-1} B, read on
-        E-words, gives E_v F_j = F_j E_v - A K_j^{-1} - K_j B, and
+        """terms * F_j, with j appended to each F-word unreduced.  The
+        table's [E_j, F_v] = A K_j + K_j^{-1} B, read on E-words, gives
+        E_v F_j = F_j E_v - A K_j^{-1} - K_j B, and
         A K_j^{-1} = q^((alpha_j, wt v - alpha_j)) K_j^{-1} A."""
         rd = self.rd
         ws = self.ws
         alpha = rd.simple(j)
         out: dict = {}
         for (u, mu, v), c in terms.items():
-            base = c * q_power(-rd.inner(mu, alpha))
-            for b, cb in ws.reduce_word(u + (j,)).items():
-                _accumulate(out, (b, mu, v), base * cb)
+            _accumulate(out, (u + (j,), mu, v),
+                        c * q_power(-rd.inner(mu, alpha)))
             a_v, b_v = ws.commutator(j, v)
             if a_v:
                 ca = -c * q_power(rd.inner(alpha, ws.word_weight(v))
@@ -193,42 +198,26 @@ class Algebra:
                 for w, cw in a_v.items():
                     _accumulate(out, (u, mu_a, w), ca * cw)
             if b_v:
-                nc = -c
                 mu_b = tuple(m + a for m, a in zip(mu, alpha))
                 for w, cw in b_v.items():
-                    _accumulate(out, (u, mu_b, w), nc * cw)
-        return out
-
-    def _times_K(self, terms: dict, nu, coeff=ONE) -> dict:
-        rd = self.rd
-        out: dict = {}
-        for (u, mu, v), c in terms.items():
-            wv = self.ws.word_weight(v)
-            fac = q_power(-rd.inner(nu, wv)) if v else ONE
-            t = (u, tuple(m + x for m, x in zip(mu, nu)), v)
-            _accumulate(out, t, c * fac * coeff)
-        return out
-
-    def _times_E(self, terms: dict, k: int) -> dict:
-        out: dict = {}
-        for (u, mu, v), c in terms.items():
-            for b, cb in self.ws.reduce_word(v + (k,)).items():
-                _accumulate(out, (u, mu, b), c * cb)
+                    _accumulate(out, (u, mu_b, w), -c * cw)
         return out
 
     def mul(self, a: Element, b: Element) -> Element:
-        total: dict = {}
-        for (u2, mu2, v2), c2 in b.terms.items():
-            cur = a.terms
-            for j in u2:
-                cur = self._times_F(cur, j)
-            if any(mu2) or c2 != ONE:
-                cur = self._times_K(cur, mu2, c2)
-            for k in v2:
-                cur = self._times_E(cur, k)
-            for t, c in cur.items():
-                _accumulate(total, t, c)
-        return Element(self, total)
+        """Move b's F-words left past a's E-words, then join the K's and
+        E-words (E_v K_mu = q^(-(mu, wt v)) K_mu E_v) and reduce once."""
+        def joined():
+            for (u2, mu2, v2), c2 in b.terms.items():
+                cur = a.terms
+                for j in u2:
+                    cur = self._times_F(cur, j)
+                for (u, mu, v), c in cur.items():
+                    if v and any(mu2):
+                        c = c * q_power(-self.rd.inner(
+                            mu2, self.ws.word_weight(v)))
+                    yield ((u, tuple(m + x for m, x in zip(mu, mu2)),
+                            v + v2), c * c2)
+        return self.from_terms(joined())
 
     # -- adjoint action -------------------------------------------------------
     def conjugate_K(self, a: Element, mu, power: int = 1) -> Element:

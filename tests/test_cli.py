@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qcartan.cli import main
-from qcartan.exprparse import Evaluator, parse_expr, render_ast
+from qcartan.exprparse import MAX_NESTING, Evaluator, parse_expr, render_ast
 from qcartan.uqalgebra import Algebra
 
 
@@ -402,3 +402,33 @@ def test_braid_index_out_of_range_exit_code(capsys, args):
     assert main(["normal-form"] + args) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# (opening, closing) of each construct the nesting bound covers
+_NESTINGS = {"paren": ("(", ")"), "bracket": ("[", ", E1]"),
+             "kappa": ("kappa(", ")"), "ad": ("ad E1 (", ")"),
+             "T": ("T1(", ")"), "neg": ("-", "")}
+
+
+@pytest.mark.parametrize("kind, depth", [
+    ("paren", 400), ("neg", 1500),
+    *((kind, MAX_NESTING + 1) for kind in _NESTINGS)])
+def test_deep_nesting_exit_code(capsys, kind, depth):
+    # the factor one level past the bound starts at its opening
+    opening, closing = _NESTINGS[kind]
+    rc = main(["normal-form", "--family", "A", "--rank", "2",
+               "--expr=" + opening * depth + "E1" + closing * depth])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: nesting deeper than %d at position %d\n" \
+        % (MAX_NESTING, (MAX_NESTING + 1) * len(opening))
+
+
+@pytest.mark.parametrize("kind", ["paren", "bracket", "kappa", "neg"])
+def test_nesting_at_the_bound_evaluates(capsys, kind):
+    opening, closing = _NESTINGS[kind]
+    rc = main(["normal-form", "--family", "A", "--rank", "2", "--expr=" +
+               opening * MAX_NESTING + "E1" + closing * MAX_NESTING])
+    assert rc == 0
+    assert capsys.readouterr().out.strip()

@@ -79,6 +79,32 @@ def test_division_by_zero():
         ONE / ZERO
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
+    with pytest.raises(ZeroDivisionError):
+        ZERO / ZERO
+
+
+def test_inverse_is_the_canonical_swap():
+    rng = random.Random(20261019)
+    negative_lead = 0
+    for _ in range(300):
+        x = rand_qrat(rng)
+        if not x:
+            continue
+        negative_lead += x.num[-1] < 0
+        inv = x.inverse()
+        want = QRat(x.den, x.num)
+        assert (inv.num, inv.den) == (want.num, want.den)
+        assert x / x == ONE and ONE / x == inv
+    assert negative_lead > 50
+
+
+def test_product_with_one_skips_the_memo():
+    clear_memos()
+    x = q - q ** -1
+    size = len(qfield._MUL)
+    assert x * QRat((1,)) is x and QRat((5,), (5,)) * x is x
+    assert len(qfield._MUL) == size
+    assert x * -ONE == -x and len(qfield._MUL) == size + 1
 
 
 def test_substitute_inverse_examples():

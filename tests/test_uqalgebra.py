@@ -11,10 +11,10 @@ from conftest import shared_algebra
 
 import qcartan
 from qcartan.involutions import build_involution
-from qcartan.linalg import Echelon, kernel_basis
+from qcartan.linalg import Echelon, _accumulate, add_scaled, kernel_basis
 from qcartan.qfield import (MEMOS, ONE, QRat, gauss_binomial, q_power,
                             qvar)
-from qcartan.uqalgebra import Algebra
+from qcartan.uqalgebra import Algebra, Element
 
 
 def test_reduce_serre_to_zero(a2):
@@ -407,3 +407,106 @@ def test_session_output_does_not_depend_on_earlier_sessions():
     first, later = json.loads(proc.stdout)
     assert first[0] == 0 and first == later
     assert json.loads(first[1])["cartan_suite"]
+
+
+# -- the letter-by-letter product, kept as the oracle of Algebra.mul ----------
+
+def _oracle_times_F(alg, terms, j):
+    rd, ws = alg.rd, alg.ws
+    alpha = rd.simple(j)
+    out = {}
+    for (u, mu, v), c in terms.items():
+        base = c * q_power(-rd.inner(mu, alpha))
+        for b, cb in ws.reduce_word(u + (j,)).items():
+            _accumulate(out, (b, mu, v), base * cb)
+        a_v, b_v = ws.commutator(j, v)
+        ca = -c * q_power(rd.inner(alpha, ws.word_weight(v))
+                          - rd.inner(alpha, alpha))
+        mu_a = tuple(m - a for m, a in zip(mu, alpha))
+        for w, cw in a_v.items():
+            _accumulate(out, (u, mu_a, w), ca * cw)
+        mu_b = tuple(m + a for m, a in zip(mu, alpha))
+        for w, cw in b_v.items():
+            _accumulate(out, (u, mu_b, w), -c * cw)
+    return out
+
+
+def _oracle_times_K(alg, terms, nu, coeff):
+    out = {}
+    for (u, mu, v), c in terms.items():
+        fac = q_power(-alg.rd.inner(nu, alg.ws.word_weight(v)))
+        _accumulate(out, (u, tuple(m + x for m, x in zip(mu, nu)), v),
+                    c * fac * coeff)
+    return out
+
+
+def _oracle_times_E(alg, terms, k):
+    out = {}
+    for (u, mu, v), c in terms.items():
+        for b, cb in alg.ws.reduce_word(v + (k,)).items():
+            _accumulate(out, (u, mu, b), c * cb)
+    return out
+
+
+def _oracle_mul(alg, a_terms, b_terms):
+    total = {}
+    for (u2, mu2, v2), c2 in b_terms.items():
+        cur = a_terms
+        for j in u2:
+            cur = _oracle_times_F(alg, cur, j)
+        cur = _oracle_times_K(alg, cur, mu2, c2)
+        for k in v2:
+            cur = _oracle_times_E(alg, cur, k)
+        for t, c in cur.items():
+            _accumulate(total, t, c)
+    return total
+
+
+def _oracle_factor(alg, rng):
+    """1-3 terms, each at most two F's, one K and two E's, multiplied out
+    by the oracle so that its words are basis words."""
+    n = alg.rd.rank
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        term = {((), alg.rd.zero(), ()): q_power(rng.randint(-2, 2))
+                * QRat.from_int(rng.choice([1, -1, 2, 3]))}
+        letters = [alg.F(rng.randint(1, n)) for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.5:
+            letters.append(alg.Ki(rng.randint(1, n), rng.choice([1, -1])))
+        letters += [alg.E(rng.randint(1, n)) for _ in range(rng.randint(0, 2))]
+        for g in letters:
+            term = _oracle_mul(alg, term, g.terms)
+        add_scaled(terms, term)
+    return terms
+
+
+@pytest.mark.parametrize("family, rank", [
+    ("A", 3), ("B", 2), ("C", 3), ("G", 2)])
+def test_product_matches_letter_by_letter_oracle(family, rank):
+    alg = shared_algebra(family, rank)
+    ws = alg.ws
+    rng = random.Random("%s%d" % (family, rank))
+    with_e = 0
+    for _ in range(40):
+        a, b = _oracle_factor(alg, rng), _oracle_factor(alg, rng)
+        with_e += any(v for _, _, v in a)
+        got = alg.mul(Element(alg, a), Element(alg, b)).terms
+        assert got == _oracle_mul(alg, a, b)
+        # every word of the result is a basis word of its weight
+        for u, _, v in got:
+            assert u in ws.basis_words(ws.word_weight(u))
+            assert v in ws.basis_words(ws.word_weight(v))
+    assert with_e >= 10
+
+
+def test_from_terms_reduces_free_words(a2):
+    # F2F2F1 and E2E1E1 are not basis words: the bases at 2a2 + a1 and
+    # 2a1 + a2 are the lex-least words 122, 212 and 112, 121
+    assert a2.ws.basis_words((1, 2)) == ((1, 2, 2), (2, 1, 2))
+    assert a2.ws.basis_words((2, 1)) == ((1, 1, 2), (1, 2, 1))
+    free = a2.from_terms([(((2, 2, 1), a2.rd.zero(), (2, 1, 1)), ONE)])
+    want = a2.one()
+    for g in [a2.F(2), a2.F(2), a2.F(1), a2.E(2), a2.E(1), a2.E(1)]:
+        want = want * g
+    assert free == want
+    assert len(free.terms) == 4
