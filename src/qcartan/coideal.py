@@ -54,7 +54,7 @@ class CoidealParams:
                     raise ValueError(
                         "parameter at index %d has a pole at q = 1" % i)
         self._bgen: dict = {}
-        self._bword: dict = {}
+        self._bword: dict = {(): self.algebra.one()}
         self._lusztig = LusztigT(self.algebra)
 
     # -- theta_q on the F_i K_i generators ---------------------------------
@@ -74,7 +74,7 @@ class CoidealParams:
         # pi_theta (rest = 0: w_X fixes alpha_{p(i)}, each ad E_j kills
         # E_{p(i)}, and the kernel is E_{p(i)} itself)
         kerns = alg.ad_kernel(alg.ad_span("+", rest, alg.E(pi)),
-                              [("E", j) for j in sorted(inv.pi_theta)])
+                              sorted(inv.pi_theta))
         if len(kerns) != 1:
             raise AssertionError(
                 "highest-weight space of (ad M)E_%d is %d-dimensional"
@@ -98,15 +98,15 @@ class CoidealParams:
         return out
 
     def B_word(self, word: tuple) -> Element:
+        """B_{word[0]} ... B_{word[-1]}, memoized on every prefix."""
         word = tuple(word)
-        got = self._bword.get(word)
-        if got is not None:
-            return got
-        if not word:
-            out = self.algebra.one()
-        else:
-            out = self.B_word(word[:-1]) * self.B(word[-1])
-        self._bword[word] = out
+        k = len(word)
+        while word[:k] not in self._bword:
+            k -= 1
+        out = self._bword[word[:k]]
+        for i in range(k, len(word)):
+            out = out * self.B(word[i])
+            self._bword[word[:i + 1]] = out
         return out
 
     def t_theta_generators(self) -> list[Element]:
@@ -164,7 +164,7 @@ class CoidealParams:
             return alg.F(ab)
         if case == 2:
             subset = tuple(s for s in supp if s != ab)
-            basis = alg.centralizer_basis("-", beta, subset)
+            basis = alg.centralizer_basis(beta, subset)
             if len(basis) != 1:
                 raise AssertionError(
                     "centralizer at beta_%d is %d-dimensional" % (j, len(basis)))
@@ -179,7 +179,7 @@ class CoidealParams:
         if case == 5:
             beta_p = tuple(b - c for b, c in zip(beta, rd.simple(abp)))
             subset = tuple(s for s in sorted(rd.support(beta_p)) if s != ab)
-            basis = alg.centralizer_basis("-", beta_p, subset)
+            basis = alg.centralizer_basis(beta_p, subset)
             if len(basis) != 1:
                 raise AssertionError("case-5 inner centralizer not a line")
             y = alg.ad_F(abp, basis[0] * alg.K(beta_p))
@@ -301,17 +301,15 @@ def cartan_element(params: CoidealParams, ts: ThetaSystem,
     y_lift = params.lift_Y(ts, j)
     completed = params.complete_to_projection(y_lift)
 
-    # normalize the (0,0)-biweight part to s(K_{-beta} - 1)
+    # normalize the (0,0) part, where alone H differs, to s(K_{-beta} - 1)
     comps = alg.biweight_components(completed)
     part00 = comps.get((zero, zero), alg.zero())
     s_scalar = part00.terms.get(((), minus_beta, ()), ZERO)
     const = part00.terms.get(((), zero, ()), ZERO)
     H = completed - alg.scalar(const + s_scalar)
-
-    comps = alg.biweight_components(H)
     Y = comps.get((minus_beta, zero), alg.zero())
     X = comps.get((zero, tuple(beta)), alg.zero())
-    s_part = comps.get((zero, zero), alg.zero())
+    s_part = part00 - alg.scalar(const + s_scalar)
     C = H - Y - X - s_part
 
     checks: dict = {}

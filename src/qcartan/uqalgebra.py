@@ -76,9 +76,6 @@ class Element:
     def __eq__(self, other):
         return isinstance(other, Element) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -169,7 +166,6 @@ class Algebra:
         weight-space bases."""
         out: dict = {}
         for (u, mu, v), c in items:
-            c = _as_qrat(c)
             e_v = self.ws.reduce_word(v)
             for b, cb in self.ws.reduce_word(u).items():
                 cb = c * cb
@@ -349,30 +345,30 @@ class Algebra:
         return Element(self, keep)
 
     # -- subspace computations -------------------------------------------------
-    def weight_space_elements(self, sign: str, beta) -> list[Element]:
-        out = []
-        for w in self.ws.basis_words(self.rd.weight(beta)):
-            if sign == "-":
-                out.append(Element(self, {(w, self.rd.zero(), ()): ONE}))
-            else:
-                out.append(Element(self, {((), self.rd.zero(), w): ONE}))
-        return out
+    def weight_space_elements(self, beta) -> list[Element]:
+        """The basis words of U^-_{-beta} as elements."""
+        return [Element(self, {(w, self.rd.zero(), ()): ONE})
+                for w in self.ws.basis_words(self.rd.weight(beta))]
 
-    def centralizer_basis(self, sign: str, beta, subset) -> list[Element]:
-        """Basis of the U_{pi'}-centralizer inside the U^{sign} weight space."""
+    def centralizer_basis(self, beta, subset) -> list[Element]:
+        """Basis of the centralizer of U_{pi'}, pi' = subset, in U^-_{-beta}:
+        empty unless (beta, alpha_j) = 0 for all j in pi', and otherwise the
+        common kernel of the ad E_j.  Such an x is a weight-0 highest-weight
+        vector for ad U_{q_j}(sl_2), on which ad F_j is locally nilpotent (a
+        q-skew derivation, nilpotent on each F_i by the Serre relations), so
+        x spans a trivial module and (ad F_j) x = 0 as well."""
         rd = self.rd
         beta = rd.weight(beta)
         for j in subset:
             if rd.inner(beta, rd.simple(j)):
                 return []
-        return self.ad_kernel(self.weight_space_elements(sign, beta),
-                              [(g, j) for j in subset for g in "EF"])
+        return self.ad_kernel(self.weight_space_elements(beta), subset)
 
-    def ad_kernel(self, vectors, gens) -> list[Element]:
+    def ad_kernel(self, vectors, subset) -> list[Element]:
         """Lex-normalized basis of the combinations of vectors killed by
-        ad g for every g in gens (generators as ad_generator takes them)."""
-        columns = [{(g, t): c for g in gens
-                    for t, c in self.ad_generator(g, x).terms.items()}
+        ad E_j for every j in subset."""
+        columns = [{(j, t): c for j in subset
+                    for t, c in self.ad_E(j, x).terms.items()}
                    for x in vectors]
         out = []
         for combo in kernel_basis(columns):

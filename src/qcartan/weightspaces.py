@@ -138,7 +138,8 @@ class WeightSpaces:
     def __init__(self, rd: RootData):
         self.rd = rd
         self._spaces: dict[tuple, _Space] = {}
-        self._reduce_memo: dict[tuple, dict] = {}
+        self._reduce_memo: dict[tuple, dict] = {
+            w: {w: ONE} for w in [()] + [(i,) for i in range(1, rd.rank + 1)]}
         self._qafac = [None] + [
             (q_power(rd.d[i]) - q_power(-rd.d[i])).inverse()
             for i in range(rd.rank)]
@@ -260,20 +261,24 @@ class WeightSpaces:
 
     # -- word reduction ----------------------------------------------------
     def reduce_word(self, word: tuple) -> dict:
-        """Express a free word in canonical basis coordinates."""
+        """Express a free word in basis coordinates (a shared dict), peeling
+        letters from the left onto its longest memoized suffix (the memo
+        starts with every word of at most one letter), memoizing each."""
         word = tuple(word)
-        if len(word) <= 1:
-            return {word: ONE}
-        got = self._reduce_memo.get(word)
+        memo = self._reduce_memo
+        got = memo.get(word)
         if got is not None:
             return got
-        i = word[0]
-        rest = self.reduce_word(word[1:])
-        sp = self.space(self.word_weight(word))
-        out: dict = {}
-        for b, c in rest.items():
-            add_scaled(out, sp.coords[(i, b)], c)
-        self._reduce_memo[word] = out
+        k = 1
+        while word[k:] not in memo:
+            k += 1
+        out = memo[word[k:]]
+        for i in range(k - 1, -1, -1):
+            sp = self.space(self.word_weight(word[i:]))
+            rest, out = out, {}
+            for b, c in rest.items():
+                add_scaled(out, sp.coords[(word[i], b)], c)
+            memo[word[i:]] = out
         return out
 
     def word_weight(self, word: tuple) -> tuple:

@@ -1,3 +1,6 @@
+import contextlib
+import sys
+
 import pytest
 
 from qcartan.coideal import CoidealParams
@@ -22,6 +25,22 @@ def shared_params(pair, n=None, r=None, **kw):
         alg = shared_algebra(inv.rd.family, inv.rd.rank)
         _PARAMS[key] = CoidealParams(inv, alg, **kw)
     return _PARAMS[key]
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames):
+    """Lower the recursion limit to `frames` frames above the caller."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @pytest.fixture

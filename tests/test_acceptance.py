@@ -162,7 +162,7 @@ def test_criterion_08_uniqueness_of_lifts():
             pi_p = tuple(s for s in supp
                          if s not in (entry.alpha_beta,
                                       entry.alpha_beta_prime))
-            basis = alg.centralizer_basis("-", entry.beta, pi_p)
+            basis = alg.centralizer_basis(entry.beta, pi_p)
             nu_idx = entry.alpha_beta
             nu = alg.rd.fundamental_weights[nu_idx - 1]
             shift = tuple(b - 2 * c for b, c in zip(entry.beta, nu))

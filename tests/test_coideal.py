@@ -3,14 +3,14 @@ import pathlib
 import random
 
 import pytest
-from conftest import shared_params
+from conftest import recursion_headroom, shared_params
 
 from qcartan.classical import matrix_root_vector
 from qcartan.coideal import (CoidealParams, _torus_span, cartan_element,
                              q_comm, specialize_to_matrix,
                              verify_cartan_suite)
 from qcartan.involutions import gamma_theta
-from qcartan.linalg import Echelon, vec_ratio
+from qcartan.linalg import Echelon, kernel_basis, vec_ratio
 from qcartan.qfield import ONE, QRat, qvar
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -68,6 +68,19 @@ def test_q_commutator(a2):
     torus = (a2.K((1, -1)).scale(q ** -1) - a2.K((-1, 1))).scale(
         (q - q ** -1).inverse())
     assert par.h_prime(1) == q_comm(par.B(2), par.B(1), q) - torus
+
+
+def test_long_b_word_without_recursion():
+    # B_word extends its longest memoized prefix in a loop, memoizing
+    # every prefix; in AII(3) B_1 = F_1, so an 80-letter word stays one term
+    par = shared_params("AII", 3)
+    alg = par.algebra
+    word = (1,) * 80
+    with recursion_headroom(50):
+        got = par.B_word(word)
+    assert got == alg.from_terms([((word, alg.rd.zero(), ()), ONE)])
+    assert {word[:k] for k in range(81)} <= set(par._bword)
+    assert par.B_word(word) is got
 
 
 def test_t_theta_generators():
@@ -387,7 +400,7 @@ def test_case5_membership_goes_through_ad_F_alpha_prime():
     rep = cartan_element(par, ts, j)
     assert rep.checks["Y_through_ad_F_alpha_prime"]
     assert alg.ad_submodule_membership(rep.Y, ab, "-", abp)
-    words = alg.weight_space_elements("-", beta)
+    words = alg.weight_space_elements(beta)
     assert len(words) == 7
     assert not any(alg.ad_submodule_membership(w, ab, "-", abp)
                    for w in words)
@@ -490,6 +503,56 @@ def _pair_name(label, n, r):
 def _cartan_case(label, n, r, j, *marks):
     return pytest.param(label, n, r, j, marks=marks,
                         id="%s-%d" % (_pair_name(label, n, r), j))
+
+
+def _centralizer_by_e_and_f(alg, beta, subset):
+    """The centralizer by its definition: the common kernel of ad E_j and
+    ad F_j for every j in subset."""
+    rd = alg.rd
+    if any(rd.inner(beta, rd.simple(j)) for j in subset):
+        return []
+    vectors = alg.weight_space_elements(beta)
+    columns = [{(g, j, t): c for j in subset
+                for g, act in (("E", alg.ad_E), ("F", alg.ad_F))
+                for t, c in act(j, x).terms.items()}
+               for x in vectors]
+    out = []
+    for combo in kernel_basis(columns):
+        x = alg.zero()
+        for idx, c in combo.items():
+            x = x + vectors[idx].scale(c)
+        out.append(alg.lex_normalize(x))
+    return out
+
+
+@pytest.mark.parametrize("label,n,r", [
+    pytest.param(*pair, marks=marks, id=_pair_name(*pair))
+    for *pair, marks in (
+        ("BI", 3, 2, ()), ("BI", 3, 3, ()), ("CI", 2, None, ()),
+        ("CII-1", 3, 2, ()), ("DI-3", 4, None, ()), ("DIII-1", 4, None, ()),
+        ("EI", None, None, ()), ("G", None, None, ()),
+        ("CII-1", 4, 2, ()), ("CII-2", 4, None, ()), ("DI-1", 4, 2, ()),
+        ("DIII-2", 5, None, pytest.mark.slow))])
+def test_centralizer_matches_e_and_f_oracle(label, n, r):
+    # the kernel of ad E_j alone is the whole centralizer at every case-2
+    # and case-5 entry, with the (beta, pi') that lift_Y asks for
+    ts = gamma_theta(label, n, r)
+    alg = shared_params(label, n, r).algebra
+    rd = alg.rd
+    asked = 0
+    for entry in ts.entries:
+        beta, ab = entry.beta, entry.alpha_beta
+        if entry.case == 5:
+            beta = tuple(b - c for b, c in
+                         zip(beta, rd.simple(entry.alpha_beta_prime)))
+        elif entry.case != 2:
+            continue
+        subset = tuple(s for s in sorted(rd.support(beta)) if s != ab)
+        got = alg.centralizer_basis(beta, subset)
+        assert len(got) == 1
+        assert got == _centralizer_by_e_and_f(alg, beta, subset)
+        asked += 1
+    assert asked == 1
 
 
 @pytest.mark.parametrize("label,n,r,j", [

@@ -10,11 +10,12 @@ intended change, named in CHANGES.md) with
 
 import json
 import pathlib
-import sys
 
 import pytest
+from conftest import recursion_headroom
 
 from qcartan import weightspaces
+from qcartan.qfield import ONE
 from qcartan.rootsys import build_root_data, weights_up_to_height
 from qcartan.weightspaces import WeightSpaces
 
@@ -120,20 +121,23 @@ def test_negative_weight_is_refused():
 def test_high_weight_builds_without_recursion():
     # the tables are built bottom-up, so a height-60 space needs no more
     # stack than a height-1 one
-    depth = 0
-    frame = sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
     ws = WeightSpaces(build_root_data("A", 1))
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 50)
-    try:
+    with recursion_headroom(50):
         sp = ws.space((60,))
-    finally:
-        sys.setrecursionlimit(limit)
     assert sp.basis == ((1,) * 60,)
     assert len(ws._spaces) == 61
+
+
+def test_long_word_reduces_without_recursion():
+    # reduce_word peels letters in a loop, so an 80-letter word needs no
+    # more stack than a short one; every suffix is memoized, and a second
+    # call is a memo hit
+    ws = WeightSpaces(build_root_data("A", 1))
+    word = (1,) * 80
+    with recursion_headroom(50):
+        assert ws.reduce_word(word) == {word: ONE}
+    assert set(ws._reduce_memo) == {word[k:] for k in range(81)}
+    assert ws.reduce_word(word) is ws._reduce_memo[word]
 
 
 if __name__ == "__main__":
