@@ -53,7 +53,6 @@ class CoidealParams:
                 if val and val.eval_at_one()[0] < 0:
                     raise ValueError(
                         "parameter at index %d has a pole at q = 1" % i)
-        self._bgen: dict = {}
         self._bword: dict = {(): self.algebra.one()}
         self._lusztig = LusztigT(self.algebra)
 
@@ -83,7 +82,7 @@ class CoidealParams:
 
     # -- generators -----------------------------------------------------------
     def B(self, i: int) -> Element:
-        got = self._bgen.get(i)
+        got = self._bword.get((i,))
         if got is not None:
             return got
         inv, alg = self.involution, self.algebra
@@ -94,16 +93,16 @@ class CoidealParams:
                 (self.theta_q_FK(i) * alg.Ki(i, -1)).scale(self.c[i])
             if self.s[i]:
                 out = out + alg.Ki(i, -1).scale(self.s[i])
-        self._bgen[i] = out
+        self._bword[(i,)] = out
         return out
 
     def B_word(self, word: tuple) -> Element:
         """B_{word[0]} ... B_{word[-1]}, memoized on every prefix."""
         word = tuple(word)
         k = len(word)
-        while word[:k] not in self._bword:
+        while k > 1 and word[:k] not in self._bword:
             k -= 1
-        out = self._bword[word[:k]]
+        out = self.B(word[0]) if k == 1 else self._bword[word[:k]]
         for i in range(k, len(word)):
             out = out * self.B(word[i])
             self._bword[word[:i + 1]] = out

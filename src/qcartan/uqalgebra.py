@@ -235,22 +235,19 @@ class Algebra:
     def ad_K(self, i: int, power: int, a: Element) -> Element:
         return self.conjugate_K(a, self.rd.simple(i), power)
 
-    def ad_generator(self, gen, a: Element) -> Element:
-        kind, i = gen
-        if kind == "E":
-            return self.ad_E(i, a)
-        if kind == "F":
-            return self.ad_F(i, a)
-        if kind == "K":
-            return self.ad_K(i, +1, a)
-        if kind == "K-":
-            return self.ad_K(i, -1, a)
-        raise ValueError("unknown adjoint generator %r" % (gen,))
-
     def ad_word(self, gens, a: Element) -> Element:
-        """(ad g_1 g_2 ... g_m) a, rightmost generator acting first."""
-        for gen in reversed(list(gens)):
-            a = self.ad_generator(gen, a)
+        """(ad g_1 g_2 ... g_m) a, rightmost generator acting first; each
+        g is ("E"|"F"|"K"|"K-", i)."""
+        for kind, i in reversed(list(gens)):
+            if kind == "E":
+                a = self.ad_E(i, a)
+            elif kind == "F":
+                a = self.ad_F(i, a)
+            elif kind in ("K", "K-"):
+                a = self.ad_K(i, +1 if kind == "K" else -1, a)
+            else:
+                raise ValueError("unknown adjoint generator %r"
+                                 % ((kind, i),))
         return a
 
     # -- (anti)automorphisms ---------------------------------------------------
@@ -426,8 +423,8 @@ class Algebra:
             ys = self.ad_span(sign, beta, start)
         else:
             rest = tuple(b - a for b, a in zip(beta, rd.simple(alpha_prime)))
-            gen = ("F" if sign == "-" else "E", alpha_prime)
-            ys = [self.ad_generator(gen, y)
+            act = self.ad_F if sign == "-" else self.ad_E
+            ys = [act(alpha_prime, y)
                   for y in self.ad_span(sign, rest, start)]
         span = Echelon()
         for y in ys:

@@ -10,10 +10,17 @@ which are injective on U^- in negative weights (the nondegeneracy of the
 standard pairing).  Both signs share these tables because the E- and F-side
 Serre relations are identical.
 
-Words are tuples of 1-based simple-root indices; the stored reduction data
-expresses every generator-times-basis product in basis coordinates, so any
-free word reduces by peeling letters from the left.  Basis words are the
-lex-least spanning words, giving one canonical choice per weight space.
+Words are tuples of 1-based simple-root indices; basis words are the
+lex-least spanning words, one canonical choice per weight space.  Each fact
+is stored once, in one of three flat tables:
+
+- `_spaces`: weight -> basis words in lex order, written by `space`;
+- `_ab`: (k, basis word) -> (A, B), written by `_build`, read through
+  `commutator`;
+- `_reduce_memo`: word -> basis coordinates.  `_build` writes each spanning
+  word (a generator times a basis word one simple root lower), so any free
+  word reduces by peeling letters from the left; `reduce_word` writes the
+  words it reduces.
 
 Each spanning word's stacked commutator vector is computed exactly, and the
 dependencies among them are found in three steps:
@@ -123,21 +130,13 @@ def _solve(vectors: list, v0: int) -> dict:
     return relations
 
 
-class _Space:
-    __slots__ = ("basis", "coords", "ab")
-
-    def __init__(self, basis, coords, ab):
-        self.basis = basis      # tuple of basis words, lex order
-        self.coords = coords    # (i, lower_word) -> {basis_word: QRat}
-        self.ab = ab            # (k, basis_word) -> (A_vec, B_vec) dicts
-
-
 class WeightSpaces:
     """Grow-only cache of weight-space bases and reduction tables."""
 
     def __init__(self, rd: RootData):
         self.rd = rd
-        self._spaces: dict[tuple, _Space] = {}
+        self._spaces: dict[tuple, tuple] = {}
+        self._ab: dict[tuple, tuple] = {}
         self._reduce_memo: dict[tuple, dict] = {
             w: {w: ONE} for w in [()] + [(i,) for i in range(1, rd.rank + 1)]}
         self._qafac = [None] + [
@@ -149,10 +148,10 @@ class WeightSpaces:
                        for k, ak in simple.items() for i, ai in simple.items()}
 
     # -- space construction ----------------------------------------------
-    def space(self, weight: tuple) -> _Space:
-        """The space at `weight`, building it and every missing weight below
-        it first, lowest height first, so that `_build` finds each space
-        one simple root lower already in the table."""
+    def space(self, weight: tuple) -> tuple:
+        """The basis words at `weight`, building it and every missing weight
+        below it first, lowest height first, so that `_build` finds each
+        space one simple root lower already in the tables."""
         got = self._spaces.get(weight)
         if got is None:
             if any(c < 0 for c in weight):
@@ -165,53 +164,53 @@ class WeightSpaces:
         return got
 
     def dimension(self, weight: tuple) -> int:
-        return len(self.space(weight).basis)
+        return len(self.space(weight))
 
     def basis_words(self, weight: tuple) -> tuple:
-        return self.space(weight).basis
+        return self.space(weight)
 
-    def _build(self, weight: tuple) -> _Space:
+    def _build(self, weight: tuple) -> tuple:
+        """The basis words at `weight`; writes the (A, B) of each into
+        `_ab` and every spanning word's basis coordinates into
+        `_reduce_memo`."""
         rd = self.rd
         n = rd.rank
         if not any(weight):
-            return _Space(((),), {}, {(k, ()): ({}, {})
-                                      for k in range(1, n + 1)})
+            self._ab.update(((k, ()), ({}, {})) for k in range(1, n + 1))
+            return ((),)
 
-        # i -> (coefficient of the K_i term of [E_i, F_i y], space of y)
-        # for y of weight `weight - alpha_i`
+        # i -> coefficient of the K_i term of [E_i, F_i y] for y of weight
+        # `weight - alpha_i`; the spanning words come out in lex order
         lowers = {}
+        spanning = []
         for i in range(1, n + 1):
             if weight[i - 1]:
-                low = tuple(c - (1 if j == i - 1 else 0)
-                            for j, c in enumerate(weight))
-                g = self._qafac[i] * q_power(-rd.inner(rd.simple(i), low))
-                lowers[i] = (g, self._spaces[low])
-
-        spanning = sorted((i,) + b for i, (_, sp) in lowers.items()
-                          for b in sp.basis)
+                low = weight[:i - 1] + (weight[i - 1] - 1,) + weight[i:]
+                lowers[i] = self._qafac[i] * q_power(
+                    -rd.inner(rd.simple(i), low))
+                spanning.extend((i,) + b for b in self._spaces[low])
+        memo = self._reduce_memo
 
         # commutator data: [E_k, x] = A_k(x) K_k + K_k^{-1} B_k(x)
         def psi(word):
             i = word[0]
             b = word[1:]
-            g = lowers[i][0]
             parts = {}
             stacked = {}
             for k in range(1, n + 1):
                 if k not in lowers:
                     parts[k] = ({}, {})
                     continue
-                spk = lowers[k][1]
                 a_b, b_b = self.commutator(k, b)
                 # F_i * (lower A/B parts), pushed into basis coords of wk
                 av, bv = {}, {}
                 for lw, c in a_b.items():
-                    add_scaled(av, spk.coords[(i, lw)], c)
+                    add_scaled(av, memo[(i,) + lw], c)
                 fac = self._qpair[k, i]
                 for lw, c in b_b.items():
-                    add_scaled(bv, spk.coords[(i, lw)], c * fac)
+                    add_scaled(bv, memo[(i,) + lw], c * fac)
                 if k == i:
-                    add_scaled(av, {b: g})
+                    add_scaled(av, {b: lowers[i]})
                     add_scaled(bv, {b: -self._qafac[k]})
                 parts[k] = (av, bv)
                 for lw, c in av.items():
@@ -231,53 +230,51 @@ class WeightSpaces:
         else:
             raise AssertionError("no evaluation point certified %r"
                                  % (weight,))
+        dim = len(spanning) - len(relations)
+        expected = kostant_partition_count(rd, weight)
+        if dim != expected:
+            raise AssertionError(
+                "weight space dimension %d != Kostant count %d at %r"
+                % (dim, expected, weight))
         basis = []
-        coords = {}
-        ab_new = {}
         for num, word in enumerate(spanning):
             rel = relations.get(num)
             if rel is None:
                 basis.append(word)
                 rel = {num: ONE}
-                ab_new.update(((k, word), ab)
-                              for k, ab in found[num][1].items())
-            coords[word[0], word[1:]] = {spanning[m]: c
-                                         for m, c in rel.items()}
-        sp = _Space(tuple(basis), coords, ab_new)
-
-        expected = kostant_partition_count(rd, weight)
-        if len(basis) != expected:
-            raise AssertionError(
-                "weight space dimension %d != Kostant count %d at %r"
-                % (len(basis), expected, weight))
-        return sp
+                self._ab.update(((k, word), ab)
+                                for k, ab in found[num][1].items())
+            memo[word] = {spanning[m]: c for m, c in rel.items()}
+        return tuple(basis)
 
     def commutator(self, k: int, word: tuple) -> tuple:
         """(A, B) with [E_k, F_w] = A K_k + K_k^{-1} B for a basis word w, in
         basis coordinates one alpha_k lower; read on E-words (E_i <-> F_i,
         K_mu -> K_{-mu}) it gives [F_k, E_w] = A K_k^{-1} + K_k B.  The
         engine's only E-F relation: _build and Algebra.mul both read it."""
-        return self.space(self.word_weight(word)).ab[(k, word)]
+        self.space(self.word_weight(word))
+        return self._ab[k, word]
 
     # -- word reduction ----------------------------------------------------
     def reduce_word(self, word: tuple) -> dict:
-        """Express a free word in basis coordinates (a shared dict), peeling
-        letters from the left onto its longest memoized suffix (the memo
-        starts with every word of at most one letter), memoizing each."""
+        """Express a free word in basis coordinates (a shared dict).  Builds
+        the word's weight, and with it every weight below, once; then peels
+        letters from the left onto its longest memoized suffix, reading
+        each generator-times-basis word from the memo, memoizing each."""
         word = tuple(word)
         memo = self._reduce_memo
         got = memo.get(word)
         if got is not None:
             return got
-        k = 1
+        self.space(self.word_weight(word))
+        k = 0
         while word[k:] not in memo:
             k += 1
         out = memo[word[k:]]
         for i in range(k - 1, -1, -1):
-            sp = self.space(self.word_weight(word[i:]))
             rest, out = out, {}
             for b, c in rest.items():
-                add_scaled(out, sp.coords[(word[i], b)], c)
+                add_scaled(out, memo[(word[i],) + b], c)
             memo[word[i:]] = out
         return out
 

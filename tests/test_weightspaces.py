@@ -24,19 +24,26 @@ TABLES = (("G", 2), ("B", 3))
 MAX_HEIGHT = 5
 
 
+def spanning(ws: WeightSpaces, weight: tuple) -> list:
+    """(i, b) for each spanning word (i,) + b at `weight`, b a basis word
+    one simple root lower, in lex order."""
+    return [(i, low) for i in range(1, len(weight) + 1) if weight[i - 1]
+            for low in ws.basis_words(
+                weight[:i - 1] + (weight[i - 1] - 1,) + weight[i:])]
+
+
 def tables(family: str, rank: int) -> list:
     rd = build_root_data(family, rank)
     ws = WeightSpaces(rd)
     out = []
     for weight in sorted(weights_up_to_height(rd, MAX_HEIGHT)):
-        sp = ws.space(weight)
         out.append({
             "weight": list(weight),
-            "basis": [list(w) for w in sp.basis],
+            "basis": [list(w) for w in ws.basis_words(weight)],
             "coords": [[i, list(low),
-                        [[list(w), c.to_json()]
-                         for w, c in sorted(sp.coords[i, low].items())]]
-                       for i, low in sorted(sp.coords)]})
+                        [[list(w), c.to_json()] for w, c in
+                         sorted(ws.reduce_word((i,) + low).items())]]
+                       for i, low in spanning(ws, weight)]})
     return out
 
 
@@ -123,9 +130,26 @@ def test_high_weight_builds_without_recursion():
     # stack than a height-1 one
     ws = WeightSpaces(build_root_data("A", 1))
     with recursion_headroom(50):
-        sp = ws.space((60,))
-    assert sp.basis == ((1,) * 60,)
+        assert ws.space((60,)) == ((1,) * 60,)
     assert len(ws._spaces) == 61
+
+
+def test_spanning_words_are_stored_once():
+    # the build writes each spanning word's coordinates into the reduction
+    # memo, so reducing a spanning word reads that very dict and stores no
+    # second copy
+    for family, rank in TABLES:
+        rd = build_root_data(family, rank)
+        ws = WeightSpaces(rd)
+        weights = list(weights_up_to_height(rd, MAX_HEIGHT))
+        for weight in weights:
+            ws.space(weight)
+        words = [(i,) + low for weight in weights
+                 for i, low in spanning(ws, weight)]
+        stored = dict(ws._reduce_memo)
+        for word in words:
+            assert ws.reduce_word(word) is stored[word]
+        assert len(ws._reduce_memo) == len(stored)
 
 
 def test_long_word_reduces_without_recursion():
