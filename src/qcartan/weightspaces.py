@@ -26,19 +26,23 @@ Each spanning word's stacked commutator vector is computed exactly, and the
 dependencies among them are found in three steps:
 
 1. Choose over F_P, P = 2^61 - 1: the vectors are evaluated at a point v0
-   and reduced greedily in spanning order, which picks the basis words and
-   one pivot key per basis word (dim keys of about 3.7 dim).
-2. Solve exactly on the pivots: every vector, restricted to those keys, is
-   reduced in spanning order by `linalg.Echelon`, which gives each
-   dependent word's relation over the earlier basis words.
+   and reduced greedily in spanning order, each row keeping its
+   combination of vector numbers mod P.  This decides the basis words, one
+   pivot key per basis word (dim keys of about 3.7 dim) and, for each
+   dependent word, the support of its relation: the earlier basis words in
+   it at v0.
+2. Solve exactly on the support: the support vectors and the dependent
+   word, restricted to the pivot keys, are reduced by one small
+   `linalg.Echelon`, which gives the word's relation over Q(v).
 3. Check each relation exactly on every key.
 
-The result is exact whatever v0 is.  A vector independent on the pivot keys
-is independent, and every dependent word carries a relation checked on all
-keys, so steps 2 and 3 alone decide the lex-least basis; step 1 only says
-which keys step 2 reads.  Independence at a point implies independence over
-Q(v), so a bad point can only make a word look dependent.  Then step 2
-disagrees with step 1 or step 3 fails, or else a denominator vanishes at
+The result is exact whatever v0 is.  Independence at a point implies
+independence over Q(v), so the basis words chosen at v0 are independent,
+and every dependent word carries a relation over earlier basis words
+checked on all keys; together they give the lex-least basis.  A bad point
+can only make a word look dependent, or a coefficient vanish and drop a
+word from a support.  Then step 2 finds the word outside the span of its
+support on the pivot keys, step 3 fails, or else a denominator vanishes at
 v0; in each case the weight is rebuilt at the next point of POINTS.
 """
 
@@ -58,9 +62,12 @@ class _BadPoint(Exception):
     """The evaluation point cannot choose this weight's basis."""
 
 
-def _choose(vectors: list, v0: int) -> dict:
-    """Greedy echelon of the vectors at v = v0 mod P, in order: maps the
-    number of each vector found independent to its pivot key."""
+def _choose(vectors: list, v0: int) -> tuple:
+    """Greedy echelon of the vectors at v = v0 mod P, in order.  Returns
+    (chosen, supports): chosen maps the number of each vector found
+    independent to its pivot key, and supports maps the number of each
+    dependent one to the numbers of the earlier independent vectors in its
+    relation at v0, in increasing order."""
     values: dict = {}   # QRat, keyed by its (num, den) -> value at v0
 
     def at(x):
@@ -76,57 +83,72 @@ def _choose(vectors: list, v0: int) -> dict:
             got = values[x] = top * pow(bot, -1, P) % P
         return got
 
-    rows: dict = {}     # pivot key -> row, 1 at the pivot
+    def subtract(out, vec, c):
+        # out -= c * vec mod P, in place, keeping no zero entries
+        for k, x in vec.items():
+            y = (out.get(k, 0) - c * x) % P
+            if y:
+                out[k] = y
+            else:
+                del out[k]
+
+    rows: dict = {}     # pivot key -> (row, combination), 1 at the pivot
     chosen = {}
+    supports = {}
     for num, vec in enumerate(vectors):
         red = {}
         for k, x in vec.items():
             c = at(x)
             if c:
                 red[k] = c
+        combo = {num: 1}
         for pivot in sorted(rows):
             c = red.get(pivot)
             if c:
-                for k, x in rows[pivot].items():
-                    y = (red.get(k, 0) - c * x) % P
-                    if y:
-                        red[k] = y
-                    else:
-                        del red[k]
+                row, row_combo = rows[pivot]
+                subtract(red, row, c)
+                subtract(combo, row_combo, c)
         if red:
             pivot = min(red)
             inv = pow(red[pivot], -1, P)
-            rows[pivot] = {k: x * inv % P for k, x in red.items()}
+            rows[pivot] = ({k: x * inv % P for k, x in red.items()},
+                           {m: x * inv % P for m, x in combo.items()})
             chosen[num] = pivot
-    return chosen
+        else:
+            del combo[num]
+            supports[num] = sorted(combo)
+    return chosen, supports
 
 
 def _solve(vectors: list, v0: int) -> dict:
     """The relation of each dependent vector over the earlier independent
     ones, as {number: {earlier number: coefficient}}, exact over Q(v).
 
-    The basis and one pivot key per basis vector are chosen at v0; the
-    relations are solved exactly on the pivot keys alone and then checked
-    exactly on every key.  Raises _BadPoint when a denominator vanishes at
-    v0 or v0 hides an independence.
+    The basis, one pivot key per basis vector and each relation's support
+    are chosen at v0.  Each relation is solved exactly on its support,
+    restricted to the pivot keys, and then checked exactly on every key.
+    Raises _BadPoint when a denominator vanishes at v0 or v0 hides an
+    independence or a member of a support.
     """
-    chosen = _choose(vectors, v0)
+    chosen, supports = _choose(vectors, v0)
     pivots = set(chosen.values())
-    ech = Echelon(track=True)
     relations = {}
-    for num, vec in enumerate(vectors):
-        is_new, rel = ech.add({k: c for k, c in vec.items() if k in pivots})
-        if is_new != (num in chosen):
+    for num, support in supports.items():
+        ech = Echelon(track=True)
+        # only the last add, the word's own, is read
+        for m in support + [num]:
+            is_new, rel = ech.add(
+                {k: c for k, c in vectors[m].items() if k in pivots})
+        if is_new:
             raise _BadPoint("the exact solve disagrees at %d" % v0)
-        if not is_new:
-            del rel[num]
-            residual = dict(vec)
-            for m, c in rel.items():
-                add_scaled(residual, vectors[m], c)
-            if residual:
-                raise _BadPoint("a relation fails off the pivots at %d" % v0)
-            # vec = -(sum of the earlier vectors in its relation)
-            relations[num] = {m: -c for m, c in rel.items()}
+        del rel[len(support)]
+        residual = dict(vectors[num])
+        for i, c in rel.items():
+            add_scaled(residual, vectors[support[i]], c)
+        if residual:
+            raise _BadPoint("a relation fails off the pivots at %d" % v0)
+        # vec = -(sum of the support vectors in its relation)
+        relations[num] = {support[i]: -c for i, c in rel.items()}
     return relations
 
 

@@ -15,6 +15,7 @@ import pytest
 from conftest import recursion_headroom
 
 from qcartan import weightspaces
+from qcartan.linalg import Echelon
 from qcartan.qfield import ONE
 from qcartan.rootsys import build_root_data, weights_up_to_height
 from qcartan.weightspaces import WeightSpaces
@@ -76,46 +77,127 @@ def _failures(monkeypatch) -> list:
     return failures
 
 
-@pytest.mark.parametrize("bad,reason", [
+# a primitive cube root of unity mod P, where [3]_q = 0
+CUBE_ROOT = pow(37, (weightspaces.P - 1) // 3, weightspaces.P)
+
+
+# the ids keep the names these cases had when each raised one message
+@pytest.mark.parametrize("bad,reasons", [
     # 1/(q^d - q^{-d}) has the denominator v^{2d} - 1
-    (1, "a denominator vanishes at 1"),
-    # a primitive cube root of unity, where [3]_q = 0 and an independent
-    # word of B3 looks dependent; only the check off the pivots sees it
-    (pow(37, (weightspaces.P - 1) // 3, weightspaces.P),
-     "a relation fails off the pivots"),
+    pytest.param(1, {"a denominator vanishes"},
+                 id="1-a denominator vanishes at 1"),
+    # an independent word of B3 looks dependent: its support at that point
+    # need not span it on the pivots, and if it does, the check off the
+    # pivots fails
+    pytest.param(CUBE_ROOT, {"the exact solve disagrees",
+                             "a relation fails off the pivots"},
+                 id="%d-a relation fails off the pivots" % CUBE_ROOT),
 ])
-def test_bad_point_is_redrawn(monkeypatch, bad, reason):
+def test_bad_point_is_redrawn(monkeypatch, bad, reasons):
     monkeypatch.setattr(weightspaces, "POINTS", (bad,) + weightspaces.POINTS)
     failures = _failures(monkeypatch)
     assert tables("B", 3) == _golden("B", 3)
     assert failures
-    assert all(f.startswith(reason) for f in failures)
+    assert {f.split(" at ")[0] for f in failures} == reasons
 
 
 @pytest.mark.parametrize("drop,reasons", [
-    # losing the first pivot leaves later basis vectors dependent on the
-    # remaining pivots, or their relations fail off them
+    # the first basis word becomes dependent on nothing: on the remaining
+    # pivots it is nonzero, or zero and then nonzero off them; words whose
+    # supports hold it may be refused first, in the same two ways
     (min, {"the exact solve disagrees", "a relation fails off the pivots"}),
-    # losing the last one makes that vector look dependent
+    # the last one becomes dependent on every earlier basis word, which
+    # span it on their own pivots, so only the check off them sees it
     (max, {"a relation fails off the pivots"})])
 def test_dropped_independent_word_is_caught(monkeypatch, drop, reasons):
-    # the choice at the first point loses one independent vector; the exact
-    # steps must refuse every such choice, and the next point repairs it
+    # the choice at the first point loses one independent vector, which
+    # turns into a dependent one with a support of earlier basis vectors;
+    # the exact steps must refuse every such choice, and the next point
+    # repairs it
     choose = weightspaces._choose
     dropped = []
 
     def lossy(vectors, v0):
-        chosen = choose(vectors, v0)
+        chosen, supports = choose(vectors, v0)
         if v0 == weightspaces.POINTS[0] and chosen:
-            del chosen[drop(chosen)]
+            num = drop(chosen)
+            del chosen[num]
+            supports[num] = [m for m in chosen if m < num]
             dropped.append(v0)
-        return chosen
+        return chosen, supports
 
     monkeypatch.setattr(weightspaces, "_choose", lossy)
     failures = _failures(monkeypatch)
     assert tables("G", 2) == _golden("G", 2)
     assert dropped and len(failures) == len(dropped)
     assert {f.split(" at ")[0] for f in failures} == reasons
+
+
+@pytest.mark.parametrize("family,rank", TABLES)
+def test_lossy_support_is_caught(monkeypatch, family, rank):
+    # the choice at the first point loses the last member of one support of
+    # size at least 2, as a coefficient vanishing at v0 would; the basis on
+    # the pivot keys is invertible, so the word is not in the span of what
+    # is left, and the exact solve refuses the point
+    choose = weightspaces._choose
+    dropped = []
+
+    def lossy(vectors, v0):
+        chosen, supports = choose(vectors, v0)
+        if v0 == weightspaces.POINTS[0]:
+            for support in supports.values():
+                if len(support) >= 2:
+                    del support[-1]
+                    dropped.append(v0)
+                    break
+        return chosen, supports
+
+    monkeypatch.setattr(weightspaces, "_choose", lossy)
+    failures = _failures(monkeypatch)
+    assert tables(family, rank) == _golden(family, rank)
+    assert dropped and len(failures) == len(dropped)
+    assert {f.split(" at ")[0] for f in failures} == {
+        "the exact solve disagrees"}
+
+
+def _full_solve(vectors, v0):
+    """The relations by one tracked elimination of every vector over all
+    pivot keys, in spanning order: the reference for `_solve`."""
+    chosen, _ = weightspaces._choose(vectors, v0)
+    pivots = set(chosen.values())
+    ech = Echelon(track=True)
+    relations = {}
+    for num, vec in enumerate(vectors):
+        is_new, rel = ech.add({k: c for k, c in vec.items() if k in pivots})
+        assert is_new == (num in chosen)
+        if not is_new:
+            del rel[num]
+            relations[num] = {m: -c for m, c in rel.items()}
+    return relations
+
+
+@pytest.mark.parametrize("family,rank,top", [
+    ("G", 2, 5), ("B", 3, 5), ("A", 4, 5), ("F", 4, (1, 2, 2, 1))])
+def test_solve_matches_full_elimination(monkeypatch, family, rank, top):
+    # every weight up to height `top`, or below the weight `top`, is solved
+    # both ways at the first point, and the relations agree dict for dict
+    solve = weightspaces._solve
+    solved = []
+
+    def both(vectors, v0):
+        got = solve(vectors, v0)
+        assert got == _full_solve(vectors, v0)
+        solved.append(v0)
+        return got
+
+    monkeypatch.setattr(weightspaces, "_solve", both)
+    rd = build_root_data(family, rank)
+    ws = WeightSpaces(rd)
+    weights = ([top] if isinstance(top, tuple)
+               else list(weights_up_to_height(rd, top)))
+    for weight in weights:
+        ws.space(weight)
+    assert solved == [weightspaces.POINTS[0]] * (len(ws._spaces) - 1)
 
 
 def test_negative_weight_is_refused():
