@@ -162,6 +162,7 @@ def cmd_cartan(ns) -> int:
         else:
             print("H_%d = %s" % (j, par.algebra.render(rep.H)))
             _print_checks(rep.checks)
+            sys.stdout.flush()      # a killed run keeps the H_j it finished
     if ns.json:
         print(json.dumps(payload))
     return 0 if ok else 1

@@ -17,17 +17,19 @@ and fixes the sign: a canonical pair stays canonical, so it takes no gcd.
 
 Within one engine session the same few thousand operand pairs recur, so
 `+`, `*` and `q_power` remember their canonical results (memo
-functions; Michie, Nature 218, 1968).  A hit returns the QRat already
-built, which is safe because a QRat is immutable and its canonical form
-is unique.  Each memo holds at most MEMO_BOUND entries and is emptied
-completely when it fills; `clear_memos()` empties all of them, and every
-`uqalgebra.Algebra` calls it when it is built, so each session starts
-empty.
+functions; Michie, Nature 218, 1968) in `functools.lru_cache`s.  A hit
+returns the QRat already built, which is safe because a QRat is immutable
+and its canonical form is unique.  Each memo holds at most MEMO_BOUND
+entries and, when full, evicts its least recently used one, so the hot
+entries stay whatever other traffic passes through; `clear_memos()`
+empties all of them, and every `uqalgebra.Algebra` calls it when it is
+built, so each session starts empty.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _igcd
 
 
@@ -168,28 +170,6 @@ def _mult_at_one(a: tuple) -> tuple[int, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# per-session memos of canonical results
-
-MEMO_BOUND = 1024
-_ADD: dict = {}         # (a.num, a.den, b.num, b.den) -> a + b
-_MUL: dict = {}         # (a.num, a.den, b.num, b.den) -> a * b
-_POWERS: dict = {}      # exponent -> q**exponent
-MEMOS = (_ADD, _MUL, _POWERS)
-
-
-def clear_memos():
-    for memo in MEMOS:
-        memo.clear()
-
-
-def _remember(memo: dict, key, value):
-    if len(memo) >= MEMO_BOUND:
-        memo.clear()
-    memo[key] = value
-    return value
-
-
-# ---------------------------------------------------------------------------
 
 class QRat:
     """Canonical rational function in v."""
@@ -253,17 +233,7 @@ class QRat:
 
     # arithmetic ---------------------------------------------------------
     def __add__(self, other):
-        key = (self.num, self.den, other.num, other.den)
-        out = _ADD.get(key)
-        if out is not None:
-            return out
-        if self.den == other.den:
-            out = QRat(padd(self.num, other.num), self.den)
-        else:
-            out = QRat(padd(pmul(self.num, other.den),
-                            pmul(other.num, self.den)),
-                       pmul(self.den, other.den))
-        return _remember(_ADD, key, out)
+        return _add(self.num, self.den, other.num, other.den)
 
     def __neg__(self):
         q = QRat.__new__(QRat)
@@ -280,12 +250,7 @@ class QRat:
             return self
         if self.num == self.den:
             return other
-        key = (self.num, self.den, other.num, other.den)
-        out = _MUL.get(key)
-        if out is None:
-            out = _remember(_MUL, key, QRat(pmul(self.num, other.num),
-                                            pmul(self.den, other.den)))
-        return out
+        return _mul(self.num, self.den, other.num, other.den)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -371,15 +336,39 @@ def qvar() -> QRat:
     return QRat.v_power(1)
 
 
+# ---------------------------------------------------------------------------
+# per-session memos of canonical results, keyed by the operands' tuples
+
+MEMO_BOUND = 1024
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _add(an: tuple, ad: tuple, bn: tuple, bd: tuple) -> QRat:
+    if ad == bd:
+        return QRat(padd(an, bn), ad)
+    return QRat(padd(pmul(an, bd), pmul(bn, ad)), pmul(ad, bd))
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _mul(an: tuple, ad: tuple, bn: tuple, bd: tuple) -> QRat:
+    return QRat(pmul(an, bn), pmul(ad, bd))
+
+
+@lru_cache(maxsize=MEMO_BOUND)
 def q_power(exponent) -> QRat:
     """q**e as an element of Q(q); e must be an integer."""
-    out = _POWERS.get(exponent)
-    if out is not None:
-        return out
     e = Fraction(exponent)
     if e.denominator != 1:
         raise ValueError("q**%s is not an integral power of q" % exponent)
-    return _remember(_POWERS, exponent, QRat.v_power(e.numerator))
+    return QRat.v_power(e.numerator)
+
+
+MEMOS = (_add, _mul, q_power)
+
+
+def clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def q_int(m: int, d: int = 1) -> QRat:

@@ -182,14 +182,15 @@ class Algebra:
         rd = self.rd
         ws = self.ws
         alpha = rd.simple(j)
+        d = rd.d[j - 1]             # (lam, alpha_j) = d_j <lam, alpha_j^vee>
         out: dict = {}
         for (u, mu, v), c in terms.items():
             _accumulate(out, (u + (j,), mu, v),
-                        c * q_power(-rd.inner(mu, alpha)))
+                        c * q_power(-d * rd.pairing(mu, j - 1)))
             a_v, b_v = ws.commutator(j, v)
             if a_v:
-                ca = -c * q_power(rd.inner(alpha, ws.word_weight(v))
-                                  - rd.inner(alpha, alpha))
+                ca = -c * q_power(
+                    d * (rd.pairing(ws.word_weight(v), j - 1) - 2))
                 mu_a = tuple(m - a for m, a in zip(mu, alpha))
                 for w, cw in a_v.items():
                     _accumulate(out, (u, mu_a, w), ca * cw)
@@ -528,15 +529,14 @@ def _divided_power(alg: Algebra, gen, i: int, s: int) -> Element:
 
 
 def lusztig_T_images(alg: Algebra, i: int, direction: int = +1) -> dict:
-    """Images of all generators under T_i (direction=+1) or T_i^{-1}."""
+    """Images of every E_j and F_j under T_i (direction=+1) or T_i^{-1}.
+    T_i^{-1} = sigma T_i sigma, and sigma fixes each E_j and F_j, so the
+    T_i^{-1} images are the sigma-images of the T_i images."""
     alg._check_index(i)
     rd = alg.rd
     qi = alg.q_i(i)
     img = {("E", i): (alg.F(i) * alg.Ki(i)).scale(-1),
            ("F", i): (alg.Ki(i, -1) * alg.E(i)).scale(-1)}
-    if direction < 0:
-        # T_i^{-1} = sigma T_i sigma
-        img = {g: alg.sigma(x) for g, x in img.items()}
     for j in range(1, rd.rank + 1):
         if j == i:
             continue
@@ -544,15 +544,16 @@ def lusztig_T_images(alg: Algebra, i: int, direction: int = +1) -> dict:
         se, sf = {}, {}
         for s in range(r + 1):
             sign = ONE if s % 2 == 0 else -ONE
-            a, b = (r - s, s) if direction > 0 else (s, r - s)
-            add_scaled(se, (_divided_power(alg, alg.E, i, a) * alg.E(j)
-                            * _divided_power(alg, alg.E, i, b)).terms,
+            add_scaled(se, (_divided_power(alg, alg.E, i, r - s) * alg.E(j)
+                            * _divided_power(alg, alg.E, i, s)).terms,
                        sign * qi ** (-s))
-            add_scaled(sf, (_divided_power(alg, alg.F, i, b) * alg.F(j)
-                            * _divided_power(alg, alg.F, i, a)).terms,
+            add_scaled(sf, (_divided_power(alg, alg.F, i, s) * alg.F(j)
+                            * _divided_power(alg, alg.F, i, r - s)).terms,
                        sign * qi ** s)
         img[("E", j)] = Element(alg, se)
         img[("F", j)] = Element(alg, sf)
+    if direction < 0:
+        img = {g: alg.sigma(x) for g, x in img.items()}
     return img
 
 

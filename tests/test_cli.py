@@ -1,10 +1,12 @@
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+from qcartan import cli
 from qcartan.cli import main
 from qcartan.exprparse import MAX_NESTING, Evaluator, parse_expr, render_ast
 from qcartan.uqalgebra import Algebra
@@ -234,6 +236,43 @@ def test_cartan_command(capsys):
     assert rc == 0
     data = json.loads(out)
     assert data[0]["checks"]["kappa_pairing"]
+
+
+class _RecordingStdout:
+    """A stdout that logs its writes and flushes in order."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def write(self, text):
+        self.events.append(("write", text))
+        return len(text)
+
+    def flush(self):
+        self.events.append(("flush",))
+
+
+def test_cartan_flushes_each_h_before_the_next(capsys, monkeypatch):
+    # a run killed while H_{j+1} is computed keeps H_1..H_j in its output
+    args = ["cartan", "--pair", "AIII", "--n", "3"]
+    _, want = run(args, capsys)
+    events = []
+    element = cli.cartan_element
+
+    def recording(par, ts, j):
+        events.append(("call", j))
+        return element(par, ts, j)
+
+    monkeypatch.setattr(cli, "cartan_element", recording)
+    monkeypatch.setattr(sys, "stdout", _RecordingStdout(events))
+    assert main(args) == 0
+    monkeypatch.undo()
+    calls = [k for k, e in enumerate(events) if e[0] == "call"]
+    assert [events[k][1] for k in calls] == [1, 2]
+    for start, end in zip(calls, calls[1:] + [len(events)]):
+        block = events[start + 1:end]
+        assert block[0][1].startswith("H_") and block[-1] == ("flush",)
+    assert "".join(e[1] for e in events if e[0] == "write") == want
 
 
 def test_verify_command(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _igcd, lcm
 
 import pytest
@@ -101,10 +102,10 @@ def test_inverse_is_the_canonical_swap():
 def test_product_with_one_skips_the_memo():
     clear_memos()
     x = q - q ** -1
-    size = len(qfield._MUL)
+    size = qfield._mul.cache_info().currsize
     assert x * QRat((1,)) is x and QRat((5,), (5,)) * x is x
-    assert len(qfield._MUL) == size
-    assert x * -ONE == -x and len(qfield._MUL) == size + 1
+    assert qfield._mul.cache_info().currsize == size
+    assert x * -ONE == -x and qfield._mul.cache_info().currsize == size + 1
 
 
 def test_substitute_inverse_examples():
@@ -388,10 +389,12 @@ def _memoised(a, b) -> dict:
        st.lists(st.integers(-12, 12), max_size=8), st.integers(1, 5))
 @settings(max_examples=120, deadline=None)
 def test_memoised_arithmetic_matches_fresh(pairs, exponents, bound):
-    # a small bound makes the memos empty themselves often, so results are
-    # read both as hits and after the bound has emptied a memo
-    saved = qfield.MEMO_BOUND
-    qfield.MEMO_BOUND = bound
+    # a small bound makes the memos evict often, so results are read both
+    # as hits and after their entries were evicted; maxsize cannot change
+    # on a live cache, so the test rebinds the memos to small ones
+    saved = qfield._add, qfield._mul, qfield.q_power
+    qfield._add, qfield._mul, qfield.q_power = small = tuple(
+        lru_cache(maxsize=bound)(memo.__wrapped__) for memo in saved)
     try:
         clear_memos()
         rounds = []
@@ -399,17 +402,19 @@ def test_memoised_arithmetic_matches_fresh(pairs, exponents, bound):
             rounds.append([])
             for a, b in pairs:
                 rounds[-1].append(_memoised(a, b))
-                assert all(len(memo) <= bound for memo in MEMOS)
+                assert all(memo.cache_info().currsize <= bound
+                           for memo in small)
         for (a, b), first, again in zip(pairs, *rounds):
             want = _fresh(a, b)
             assert first == want and again == want
             for x in first.values():
                 _assert_canonical(x)
         for e in exponents + exponents:
-            assert q_power(e) == QRat.v_power(e) == q_power(Fraction(e))
-            assert all(len(memo) <= bound for memo in MEMOS)
+            assert qfield.q_power(e) == QRat.v_power(e) == \
+                qfield.q_power(Fraction(e))
+            assert all(memo.cache_info().currsize <= bound for memo in small)
     finally:
-        qfield.MEMO_BOUND = saved
+        qfield._add, qfield._mul, qfield.q_power = saved
         clear_memos()
 
 
@@ -421,7 +426,7 @@ def test_memo_returns_the_canonical_result_it_stored():
     assert q_power(-3) is q_power(-3)
     assert a * ZERO is ZERO and ZERO / b is ZERO
     clear_memos()
-    assert all(not memo for memo in MEMOS)
+    assert all(not memo.cache_info().currsize for memo in MEMOS)
     assert a * b == QRat(pmul(a.num, b.num), pmul(a.den, b.den))
 
 
@@ -434,6 +439,20 @@ def test_memos_stay_within_their_bound():
             a * b + b
             a / b
         q_power(rng.randint(-3000, 3000))
-        assert all(len(memo) <= qfield.MEMO_BOUND for memo in MEMOS)
+        assert all(memo.cache_info().currsize <= qfield.MEMO_BOUND
+                   for memo in MEMOS)
     clear_memos()
 
+
+def test_hot_entry_survives_a_flood():
+    # a full memo evicts its least recently used entry, so a product read
+    # again every few hundred others keeps the QRat built on its miss
+    clear_memos()
+    a, b = q + ONE, q - ONE
+    ab = a * b
+    for k in range(3 * qfield.MEMO_BOUND):
+        QRat((k + 2,)) * a
+        if k % 300 == 0:
+            assert a * b is ab
+    assert a * b is ab
+    clear_memos()

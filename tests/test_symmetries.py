@@ -5,8 +5,8 @@ import pytest
 from conftest import shared_algebra
 
 from qcartan.linalg import _accumulate
-from qcartan.qfield import q_int, q_power
-from qcartan.uqalgebra import Element, LusztigT
+from qcartan.qfield import q_factorial, q_int, q_power
+from qcartan.uqalgebra import Element, LusztigT, lusztig_T_images
 
 _LUSZTIG = {}
 
@@ -145,6 +145,42 @@ def test_lusztig_inverse(a2):
     for x in [a2.E(1), a2.E(2), a2.F(1), a2.F(2), a2.Ki(1), a2.K((1, -1))]:
         assert T.apply(1, -1, T.apply(1, +1, x)) == x
         assert T.apply(1, +1, T.apply(1, -1, x)) == x
+
+
+def _divided(alg, gen, i, s):
+    out = alg.one()
+    for _ in range(s):
+        out = out * gen(i)
+    return out.scale(q_factorial(s, alg.rd.d[i - 1]).inverse())
+
+
+def _explicit_inverse_images(alg, i):
+    """T_i^{-1} on E_j and F_j by Lusztig's sums, with the divided-power
+    exponents of the T_i sums swapped."""
+    qi = alg.q_i(i)
+    img = {("E", i): (alg.Ki(i, -1) * alg.F(i)).scale(-1),
+           ("F", i): (alg.E(i) * alg.Ki(i)).scale(-1)}
+    for j in range(1, alg.rd.rank + 1):
+        if j == i:
+            continue
+        r = -alg.rd.cartan[i - 1][j - 1]
+        e = f = alg.zero()
+        for s in range(r + 1):
+            e = e + (_divided(alg, alg.E, i, s) * alg.E(j)
+                     * _divided(alg, alg.E, i, r - s)).scale((-qi ** -1) ** s)
+            f = f + (_divided(alg, alg.F, i, r - s) * alg.F(j)
+                     * _divided(alg, alg.F, i, s)).scale((-qi) ** s)
+        img[("E", j)], img[("F", j)] = e, f
+    return img
+
+
+@pytest.mark.parametrize("family,rank",
+                         [("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)])
+def test_inverse_images_match_the_explicit_sums(family, rank):
+    # lusztig_T_images reads T_i^{-1} as sigma T_i sigma on every generator
+    alg = shared_algebra(family, rank)
+    for i in range(1, rank + 1):
+        assert lusztig_T_images(alg, i, -1) == _explicit_inverse_images(alg, i)
 
 
 def test_lusztig_braid_a2(a2):
