@@ -1,9 +1,10 @@
 """Quantum symmetric pair coideal subalgebras and their Cartan elements.
 
 Builds the generators B_i = F_i + c_i theta_q(F_i K_i) K_i^{-1} + s_i K_i^{-1},
-the projection-completion algorithm, membership testing, the lifts of the
-lower root vectors for all five structural cases, and the quantum Cartan
-elements H_j together with the full verification suite.
+the projection-completion algorithm (F_i -> B_i on each projection defect,
+by `Algebra.substitute`), membership testing, the lifts of the lower root
+vectors for all five structural cases, and the quantum Cartan elements H_j
+together with the full verification suite.
 
 Scalar conventions: theta_q(F_i K_i) is normalized so its lex-least word has
 coefficient 1, and the default parameters are c_i = 1, s_i = 0, which for
@@ -19,7 +20,7 @@ from .classical import chevalley_matrices, matrix_root_vector, mmul
 from .involutions import Involution, ThetaSystem
 from .linalg import add_scaled, vec_ratio
 from .qfield import ONE, QRat, ZERO
-from .uqalgebra import Algebra, Element, LusztigT, _as_qrat, q_comm
+from .uqalgebra import Algebra, Element, _as_qrat, q_comm
 
 
 @dataclass
@@ -53,8 +54,7 @@ class CoidealParams:
                 if val and val.eval_at_one()[0] < 0:
                     raise ValueError(
                         "parameter at index %d has a pole at q = 1" % i)
-        self._bword: dict = {(): self.algebra.one()}
-        self._lusztig = LusztigT(self.algebra)
+        self._B: dict = {}
 
     # -- theta_q on the F_i K_i generators ---------------------------------
     def theta_q_FK(self, i: int) -> Element:
@@ -82,9 +82,8 @@ class CoidealParams:
 
     # -- generators -----------------------------------------------------------
     def B(self, i: int) -> Element:
-        got = self._bword.get((i,))
-        if got is not None:
-            return got
+        if i in self._B:
+            return self._B[i]
         inv, alg = self.involution, self.algebra
         if i in inv.pi_theta:
             out = alg.F(i)
@@ -93,19 +92,7 @@ class CoidealParams:
                 (self.theta_q_FK(i) * alg.Ki(i, -1)).scale(self.c[i])
             if self.s[i]:
                 out = out + alg.Ki(i, -1).scale(self.s[i])
-        self._bword[(i,)] = out
-        return out
-
-    def B_word(self, word: tuple) -> Element:
-        """B_{word[0]} ... B_{word[-1]}, memoized on every prefix."""
-        word = tuple(word)
-        k = len(word)
-        while k > 1 and word[:k] not in self._bword:
-            k -= 1
-        out = self.B(word[0]) if k == 1 else self._bword[word[:k]]
-        for i in range(k, len(word)):
-            out = out * self.B(word[i])
-            self._bword[word[:i + 1]] = out
+        self._B[i] = out
         return out
 
     def t_theta_generators(self) -> list[Element]:
@@ -126,9 +113,10 @@ class CoidealParams:
         return self.algebra.project_P(x, self.involution)
 
     def complete_to_projection(self, target: Element) -> Element:
-        """The unique b in B_theta with P(b) = target: expand the target over
-        B-words, then add the expansion of the projection defect
-        target - P(b), whose weights strictly drop, until it vanishes."""
+        """The unique b in B_theta with P(b) = target: add the image of the
+        projection defect target - P(b) under F_i -> B_i, K_mu and E_i
+        fixed (one `Algebra.substitute`, whose k = alg.K sends 0 to 1),
+        until the defect, whose weights strictly drop, vanishes."""
         alg = self.algebra
         if self.project(target) != target:
             raise ValueError("completion target must lie in U^- M^+ T_theta")
@@ -137,11 +125,7 @@ class CoidealParams:
         for _ in range(4 * sum(len(t[0]) for t in target.terms) + 9):
             if defect.is_zero():
                 return b
-            terms = dict(b.terms)
-            for (u, mu, v), c in defect.terms.items():
-                tail = Element(alg, {((), mu, v): c})
-                add_scaled(terms, (self.B_word(u) * tail).terms)
-            b = Element(alg, terms)
+            b = b + alg.substitute(defect, self.B, alg.K, alg.E)
             defect = target - self.project(b)
         if not defect.is_zero():
             raise AssertionError("completion failed to terminate")
@@ -170,7 +154,7 @@ class CoidealParams:
             return basis[0]
         if case == 3:
             word = rd.longest_word(tuple(s for s in supp if s != ab))
-            y = self._lusztig.apply_word(word, alg.F(ab), direction=-1)
+            y = alg.lusztig.apply_word(word, alg.F(ab), direction=-1)
             return alg.lex_normalize(y)
         if case == 4:
             y = self._ad_F_chain(alg.F(ab), beta, ab, abp)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .linalg import add_scaled
 from .qfield import QRat
-from .uqalgebra import Element, LusztigT, q_comm
+from .uqalgebra import Element, q_comm
 
 MAX_NESTING = 200
 
@@ -235,7 +235,6 @@ class Evaluator:
     def __init__(self, algebra, params=None):
         self.alg = algebra
         self.params = params
-        self.lusztig = LusztigT(algebra)
 
     def run(self, node):
         alg = self.alg
@@ -288,7 +287,7 @@ class Evaluator:
         if kind == "func":
             return alg.apply_symmetry(node[1], self.run(node[2]))
         if kind == "lusztig":
-            return self.lusztig.apply(node[1], node[2], self.run(node[3]))
+            return alg.lusztig.apply(node[1], node[2], self.run(node[3]))
         if kind == "ad":
             arg = self.run(node[2])
             gens = []

@@ -115,6 +115,9 @@ class Algebra:
         self.rd = rd
         self.ws = WeightSpaces(rd)
         self.q = q_power(1)
+        # (i, direction) -> T_i images as term dicts: cached Elements would
+        # hold the session in a cycle that keeps its tables until a full gc
+        self._t_images: dict = {}
         clear_memos()       # each engine session starts with empty memos
 
     # -- constructors -----------------------------------------------------
@@ -155,6 +158,10 @@ class Algebra:
 
     def q_i(self, i: int) -> QRat:
         return q_power(self.rd.d[i - 1])
+
+    @property
+    def lusztig(self) -> "LusztigT":
+        return LusztigT(self)
 
     def _check_index(self, i: int):
         if not 1 <= i <= self.rd.rank:
@@ -254,15 +261,24 @@ class Algebra:
     # -- (anti)automorphisms ---------------------------------------------------
     def substitute(self, a: Element, f, k, e, anti: bool = False) -> Element:
         """The image of a under the (anti)homomorphism sending F_t to f(t),
-        K_mu to k(mu) and E_t to e(t), applied term by term."""
-        out: dict = {}
+        K_mu to k(mu) and E_t to e(t), where k must send 0 to 1: K_0 is
+        skipped.  By Horner's rule, longest factor prefix first: rest[p],
+        the image of what follows the prefix p summed over the terms whose
+        factors (reversed if anti) extend p, costs one gen(x) * rest[p+x]."""
+        gen = {"F": f, "K": k, "E": e}
+        rest: dict = {}
         for (u, mu, v), c in a.terms.items():
-            factors = [f(t) for t in u] + [k(mu)] + [e(t) for t in v]
-            acc = self.scalar(c)
-            for g in (reversed(factors) if anti else factors):
-                acc = acc * g
-            add_scaled(out, acc.terms)
-        return Element(self, out)
+            word = [("F", t) for t in u] + [("K", mu)] * any(mu) + \
+                [("E", t) for t in v]
+            word = tuple(word[::-1] if anti else word)
+            for n in range(len(word)):
+                rest.setdefault(word[:n], {})
+            rest.setdefault(word, {})[((), self.rd.zero(), ())] = c
+        for p in sorted(rest, key=len, reverse=True)[:-1]:
+            kind, x = p[-1]
+            add_scaled(rest[p[:-1]],
+                       (gen[kind](x) * Element(self, rest.pop(p))).terms)
+        return Element(self, rest.get((), {}))
 
     def kappa(self, a: Element) -> Element:
         """The quantum Chevalley antiautomorphism."""
@@ -558,24 +574,20 @@ def lusztig_T_images(alg: Algebra, i: int, direction: int = +1) -> dict:
 
 
 class LusztigT:
-    """T_i as an algebra automorphism applied term by term."""
+    """T_i as an automorphism by `Algebra.substitute`."""
 
     def __init__(self, alg: Algebra):
         self.alg = alg
-        self._images: dict = {}
-
-    def _image(self, i: int, direction: int):
-        key = (i, direction)
-        if key not in self._images:
-            self._images[key] = lusztig_T_images(self.alg, i, direction)
-        return self._images[key]
 
     def apply(self, i: int, direction: int, a: Element) -> Element:
         alg = self.alg
-        img = self._image(i, direction)
-        return alg.substitute(a, lambda t: img[("F", t)],
+        if (i, direction) not in alg._t_images:
+            img = lusztig_T_images(alg, i, direction)
+            alg._t_images[i, direction] = {g: x.terms for g, x in img.items()}
+        img = alg._t_images[i, direction]
+        return alg.substitute(a, lambda t: Element(alg, img[("F", t)]),
                               lambda mu: alg.K(alg.rd.reflect(i, mu)),
-                              lambda t: img[("E", t)])
+                              lambda t: Element(alg, img[("E", t)]))
 
     def apply_word(self, word, a: Element, direction: int = +1) -> Element:
         """T_w for w = s_{word[0]} ... s_{word[-1]} as a reduced expression

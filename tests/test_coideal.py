@@ -1,6 +1,8 @@
+import gc
 import json
 import pathlib
 import random
+import weakref
 
 import pytest
 from conftest import recursion_headroom, shared_params
@@ -9,9 +11,11 @@ from qcartan.classical import matrix_root_vector
 from qcartan.coideal import (CoidealParams, _torus_span, cartan_element,
                              q_comm, specialize_to_matrix,
                              verify_cartan_suite)
-from qcartan.involutions import gamma_theta
+from qcartan.exprparse import Evaluator, parse_expr
+from qcartan.involutions import build_involution, gamma_theta
 from qcartan.linalg import Echelon, kernel_basis, vec_ratio
 from qcartan.qfield import ONE, QRat, qvar
+from qcartan.uqalgebra import Algebra
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -70,17 +74,35 @@ def test_q_commutator(a2):
     assert par.h_prime(1) == q_comm(par.B(2), par.B(1), q) - torus
 
 
-def test_long_b_word_without_recursion():
-    # B_word extends its longest memoized prefix in a loop, memoizing
-    # every prefix; in AII(3) B_1 = F_1, so an 80-letter word stays one term
+def test_long_completion_without_recursion():
+    # the completion expands by Horner's rule, one loop over the factor
+    # prefixes; in AII(3) B_1 = F_1, so an 80-letter word is its own image
     par = shared_params("AII", 3)
     alg = par.algebra
     word = (1,) * 80
+    target = alg.from_terms([((word, alg.rd.zero(), ()), ONE)])
     with recursion_headroom(50):
-        got = par.B_word(word)
-    assert got == alg.from_terms([((word, alg.rd.zero(), ()), ONE)])
-    assert {word[:k] for k in range(81)} <= set(par._bword)
-    assert par.B_word(word) is got
+        completed = par.complete_to_projection(target)
+        image = alg.substitute(target, par.B, alg.K, alg.E)
+    assert completed == target
+    assert image == target
+
+
+def test_finished_session_is_freed_without_gc():
+    # no reference cycle keeps a finished session's tables alive: the
+    # session caches its T_i images as term dicts, not as Elements
+    inv = build_involution("AIII", 3, 1)
+    par = CoidealParams(inv, Algebra(inv.rd))
+    alg = par.algebra
+    gc.disable()
+    try:
+        par.complete_to_projection(alg.F(1) * alg.F(2))
+        Evaluator(alg, par).run(parse_expr("T1(B2) + Tinv2(E1 F3)"))
+        refs = [weakref.ref(par), weakref.ref(alg)]
+        del par, alg
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_t_theta_generators():
@@ -422,7 +444,9 @@ def test_deg_f_of_b_words():
     alg = par.algebra
     for _ in range(20):
         word = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
-        bw = par.B_word(word)
+        bw = alg.one()
+        for t in word:
+            bw = bw * par.B(t)
         if bw.is_zero():
             continue
         assert alg.filtration_degree(bw) == len(word)

@@ -2,19 +2,12 @@ import itertools
 import random
 
 import pytest
-from conftest import shared_algebra
+from conftest import shared_algebra, shared_params
 
-from qcartan.linalg import _accumulate
+from qcartan.involutions import gamma_theta
+from qcartan.linalg import _accumulate, add_scaled
 from qcartan.qfield import q_factorial, q_int, q_power
-from qcartan.uqalgebra import Element, LusztigT, lusztig_T_images
-
-_LUSZTIG = {}
-
-
-def lusztig(alg):
-    if alg.rd not in _LUSZTIG:
-        _LUSZTIG[alg.rd] = LusztigT(alg)
-    return _LUSZTIG[alg.rd]
+from qcartan.uqalgebra import Element, lusztig_T_images
 
 
 def test_kappa_on_generators(a2):
@@ -106,6 +99,78 @@ def test_phi_prime_matches_closed_form(family, rank):
         assert alg.phi_prime(alg.phi_prime(a)) == a
 
 
+def _substitute_by_terms(alg, a, f, k, e, anti=False):
+    """The per-term substitution: each term's factor images multiplied
+    left to right (right to left if anti), K_0 included."""
+    out: dict = {}
+    for (u, mu, v), c in a.terms.items():
+        factors = [f(t) for t in u] + [k(mu)] + [e(t) for t in v]
+        acc = alg.scalar(c)
+        for g in (reversed(factors) if anti else factors):
+            acc = acc * g
+        add_scaled(out, acc.terms)
+    return Element(alg, out)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("G", 2)])
+def test_horner_substitution_matches_per_term(family, rank):
+    alg = shared_algebra(family, rank)
+    rng = random.Random(23)
+    mu = tuple(range(1, rank + 1))
+    xs = [alg.zero(), alg.scalar(alg.q + q_int(2)),
+          alg.K(mu).scale(alg.q), alg.K(mu) + alg.Ki(1, -1) * alg.E(rank)]
+    xs += [_random_element(alg, rng) for _ in range(6)]
+    kappa = (lambda t: alg.Ki(t, -1) * alg.E(t), alg.K,
+             lambda t: alg.F(t) * alg.Ki(t))
+    sigma = (alg.F, lambda nu: alg.K(tuple(-m for m in nu)), alg.E)
+    for x in xs:
+        assert alg.kappa(x) == _substitute_by_terms(alg, x, *kappa, True)
+        assert alg.sigma(x) == _substitute_by_terms(alg, x, *sigma, True)
+        for i in range(1, rank + 1):
+            for d in (1, -1):
+                img = lusztig_T_images(alg, i, d)
+                want = _substitute_by_terms(
+                    alg, x, lambda t: img[("F", t)],
+                    lambda nu: alg.K(alg.rd.reflect(i, nu)),
+                    lambda t: img[("E", t)])
+                assert alg.lusztig.apply(i, d, x) == want
+
+
+@pytest.mark.parametrize("pair,n,r",
+                         [("AIII", 4, 1), ("BI", 3, 2), ("CII-1", 3, 2)])
+def test_completion_expansion_matches_per_term(pair, n, r):
+    # the completion's F_i -> B_i expansion on each lift Y_j
+    par = shared_params(pair, n, r)
+    alg = par.algebra
+    ts = gamma_theta(pair, n, r)
+    for j in range(1, len(ts.entries) + 1):
+        y = par.lift_Y(ts, j)
+        assert alg.substitute(y, par.B, alg.K, alg.E) == \
+            _substitute_by_terms(alg, y, par.B, alg.K, alg.E)
+
+
+def test_substitution_makes_one_product_per_prefix(a3, monkeypatch):
+    # sigma's images are single generators, so every product is Horner's
+    # gen(x) * rest, one per distinct non-empty prefix of the reversed words
+    x = (a3.F(1) * a3.F(2) + a3.F(2) * a3.F(1) + a3.F(3)) * \
+        a3.K((1, 0, -1)) * (a3.E(1) * a3.E(2) + a3.E(2))
+    x = x + a3.E(2) * a3.E(1) + a3.F(3) * a3.E(2) + a3.one()
+    prefixes = set()
+    for u, mu, v in x.terms:
+        word = [("F", t) for t in u] + [("K", mu)] * any(mu) + \
+            [("E", t) for t in v]
+        word.reverse()
+        prefixes.update(tuple(word[:n]) for n in range(1, len(word) + 1))
+    calls = []
+    mul = a3.mul
+    monkeypatch.setattr(a3, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    got = a3.sigma(x)
+    assert len(calls) == len(prefixes)
+    monkeypatch.undo()
+    assert got == _substitute_by_terms(
+        a3, x, a3.F, lambda nu: a3.K(tuple(-m for m in nu)), a3.E, True)
+
+
 def test_kappa_ad_chain_identity(a3):
     # kappa((ad E_{i1}..E_{im}) E_k K) = (-1)^m (ad F_{i1}..F_{im})(K F_k K_k)
     kt = a3.K((1, 0, -1))
@@ -141,7 +206,7 @@ def test_adjacent_chain_identities(a4):
 
 
 def test_lusztig_inverse(a2):
-    T = lusztig(a2)
+    T = a2.lusztig
     for x in [a2.E(1), a2.E(2), a2.F(1), a2.F(2), a2.Ki(1), a2.K((1, -1))]:
         assert T.apply(1, -1, T.apply(1, +1, x)) == x
         assert T.apply(1, +1, T.apply(1, -1, x)) == x
@@ -184,7 +249,7 @@ def test_inverse_images_match_the_explicit_sums(family, rank):
 
 
 def test_lusztig_braid_a2(a2):
-    T = lusztig(a2)
+    T = a2.lusztig
     for x in [a2.E(1), a2.F(2), a2.Ki(1), a2.E(2), a2.F(1)]:
         lhs = T.apply(1, 1, T.apply(2, 1, T.apply(1, 1, x)))
         rhs = T.apply(2, 1, T.apply(1, 1, T.apply(2, 1, x)))
@@ -192,7 +257,7 @@ def test_lusztig_braid_a2(a2):
 
 
 def test_lusztig_braid_a3(a3):
-    T = lusztig(a3)
+    T = a3.lusztig
     for x in [a3.E(1), a3.F(3), a3.Ki(2)]:
         assert T.apply(1, 1, T.apply(3, 1, x)) == \
             T.apply(3, 1, T.apply(1, 1, x))
@@ -203,7 +268,7 @@ def test_lusztig_braid_a3(a3):
 
 def test_lusztig_braid_b2():
     b2 = shared_algebra("B", 2)
-    T = lusztig(b2)
+    T = b2.lusztig
     for x in [b2.E(1), b2.E(2), b2.F(1)]:
         lhs = T.apply(1, 1, T.apply(2, 1, T.apply(1, 1, T.apply(2, 1, x))))
         rhs = T.apply(2, 1, T.apply(1, 1, T.apply(2, 1, T.apply(1, 1, x))))
@@ -211,13 +276,13 @@ def test_lusztig_braid_b2():
 
 
 def test_sigma_conjugation(a2):
-    T = lusztig(a2)
+    T = a2.lusztig
     for x in [a2.E(1), a2.E(2), a2.F(1), a2.F(2), a2.Ki(1)]:
         assert a2.sigma(T.apply(1, 1, a2.sigma(x))) == T.apply(1, -1, x)
 
 
 def test_lusztig_is_automorphism(a2):
-    T = lusztig(a2)
+    T = a2.lusztig
     gens = [a2.E(1), a2.F(2), a2.Ki(1), a2.E(2)]
     for a, b in itertools.product(gens, repeat=2):
         assert T.apply(1, 1, a * b) == T.apply(1, 1, a) * T.apply(1, 1, b)
@@ -226,7 +291,7 @@ def test_lusztig_is_automorphism(a2):
 def test_lusztig_lowest_weight_property(a3):
     # T_w^{-1}(F_1) for w the longest element of the {2,3}-subsystem is a
     # lowest weight vector: (ad F_2)(Y K_beta) = 0 at beta = a1+a2+a3
-    T = lusztig(a3)
+    T = a3.lusztig
     word = a3.rd.longest_word((2, 3))
     Y = T.apply_word(word, a3.F(1), direction=-1)
     beta = a3.rd.weight((1, 1, 1))
