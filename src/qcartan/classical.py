@@ -4,7 +4,8 @@ These serve as the brute-force oracle for the quantum layer: Chevalley
 generators for types A-D, one root vector e_beta or f_{-beta} per positive
 root (the target every q = 1 specialization is compared with), the
 commutativity and dimension check for the fixed-part Cartan construction,
-and the Cayley transform check inside an sl2-triple over Q(sqrt 2).
+and the Cayley transform check inside the sl2-triple.  Every entry is a
+`Fraction`.
 
 A matrix is a `linalg` sparse vector: a dict {(row, col): entry} that
 stores no zero entry, so sums, scalings, rank and proportionality are the
@@ -27,7 +28,7 @@ def unit(i: int, j: int, c=1) -> Matrix:
 
 
 def mmul(a: Matrix, b: Matrix) -> Matrix:
-    """The product ab, over Q or over Q(sqrt 2)."""
+    """The product ab."""
     rows: dict = {}
     for (k, j), y in b.items():
         rows.setdefault(k, []).append((j, y))
@@ -176,76 +177,35 @@ def verify_classical_cartan(ts: ThetaSystem) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the Cayley transform check over Q(sqrt 2)
-
-class Sqrt2:
-    """a + b*sqrt(2) with exact rational components."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a, self.b = Fraction(a), Fraction(b)
-
-    def __add__(self, o):
-        return Sqrt2(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o):
-        return Sqrt2(self.a - o.a, self.b - o.b)
-
-    def __neg__(self):
-        return Sqrt2(-self.a, -self.b)
-
-    def __mul__(self, o):
-        return Sqrt2(self.a * o.a + 2 * self.b * o.b,
-                     self.a * o.b + self.b * o.a)
-
-    def inverse(self):
-        d = self.a * self.a - 2 * self.b * self.b
-        if not d:
-            raise ZeroDivisionError
-        return Sqrt2(self.a / d, -self.b / d)
-
-    def __truediv__(self, o):
-        return self * o.inverse()
-
-    def __eq__(self, o):
-        return self.a == o.a and self.b == o.b
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def __repr__(self):
-        return "(%s + %s*sqrt2)" % (self.a, self.b)
-
-
-def _s2mat(rows):
-    return {(i, j): x if isinstance(x, Sqrt2) else Sqrt2(x)
-            for i, row in enumerate(rows) for j, x in enumerate(row) if x}
-
-
-def _s2trace(m):
-    return sum((x for (i, j), x in m.items() if i == j), Sqrt2(0))
-
+# the Cayley transform check
 
 def cayley_on_triple() -> dict:
     """Exact check of the Cayley rotation in the sl2-triple of a root.
 
     All roots share the same 2x2 triple picture, so the check is carried out
-    once, there: R = exp((pi/4)(f - e)) has entries in Q(sqrt 2), conjugates h to
-    e + f, and fixes the centralizer of the triple.
+    once, on the Chevalley matrices of sl2: with J = f - e, so J^2 = -1, the
+    rotation R = exp((pi/4)J) = (1 + J)/sqrt 2 conjugates h to e + f and
+    fixes the centralizer of the triple.  Conjugation ignores the scalar
+    1/sqrt 2, so the check runs over Q on R' = 1 + J, whose inverse is
+    (1 - J)/2 = R'^T/2.
     """
-    half = Sqrt2(0, Fraction(1, 2))     # sqrt(2)/2 = cos(pi/4) = sin(pi/4)
-    r = _s2mat([[half, -half], [half, half]])
-    rinv = _s2mat([[half, half], [-half, half]])
-    hm = _s2mat([[1, 0], [0, -1]])
-    ef = _s2mat([[0, 1], [1, 0]])
-    axis = _s2mat([[0, -1], [1, 0]])
-    centre = _s2mat([[3, 0], [0, 3]])
+    (e,), (f,), (h,) = chevalley_matrices("A", 1)
+    one = add_scaled(unit(0, 0), unit(1, 1))
+    axis = add_scaled(dict(f), e, -1)
+    r = add_scaled(dict(one), axis)
+    rt = {(j, i): x for (i, j), x in r.items()}
+    rinv = add_scaled({}, rt, Fraction(1, 2))
+    ef = add_scaled(dict(e), f)
+    centre = add_scaled({}, one, 3)
+
+    def trace(m):
+        return sum(x for (i, j), x in m.items() if i == j)
+
     return {
-        "rotation_is_orthogonal": mmul(r, rinv) == _s2mat([[1, 0], [0, 1]]),
-        "sends_h_to_e_plus_f": mmul(mmul(r, hm), rinv) == ef,
+        "rotation_is_orthogonal": mmul(r, rt) == add_scaled({}, one, 2),
+        "sends_h_to_e_plus_f": mmul(mmul(r, h), rinv) == ef,
         "fixes_rotation_axis": mmul(mmul(r, axis), rinv) == axis,
         "fixes_centralizer": mmul(mmul(r, centre), rinv) == centre,
-        "trace_preserved": _s2trace(ef) == _s2trace(hm) and
-                           _s2trace(mmul(ef, ef)) == _s2trace(mmul(hm, hm)),
+        "trace_preserved": trace(ef) == trace(h) and
+                           trace(mmul(ef, ef)) == trace(mmul(h, h)),
     }

@@ -116,19 +116,24 @@ class CoidealParams:
         """The unique b in B_theta with P(b) = target: add the image of the
         projection defect target - P(b) under F_i -> B_i, K_mu and E_i
         fixed (one `Algebra.substitute`, whose k = alg.K sends 0 to 1),
-        until the defect, whose weights strictly drop, vanishes."""
+        and take P of that step off the defect, P being linear, until the
+        defect vanishes.  Each round must lower the defect's filtration
+        degree; the first round that does not raises AssertionError."""
         alg = self.algebra
         if self.project(target) != target:
             raise ValueError("completion target must lie in U^- M^+ T_theta")
         b = alg.zero()
-        defect = target
-        for _ in range(4 * sum(len(t[0]) for t in target.terms) + 9):
-            if defect.is_zero():
-                return b
-            b = b + alg.substitute(defect, self.B, alg.K, alg.E)
-            defect = target - self.project(b)
-        if not defect.is_zero():
-            raise AssertionError("completion failed to terminate")
+        defect, degree = target, None
+        while not defect.is_zero():
+            d = alg.filtration_degree(defect)
+            if degree is not None and d >= degree:
+                raise AssertionError(
+                    "completion failed to terminate: the defect's filtration "
+                    "degree went from %d to %d" % (degree, d))
+            degree = d
+            step = alg.substitute(defect, self.B, alg.K, alg.E)
+            b = b + step
+            defect = defect - self.project(step)
         return b
 
     def membership(self, x: Element) -> bool:

@@ -238,7 +238,7 @@ class Algebra:
         return self.E(i) * a - self.conjugate_K(a, self.rd.simple(i)) * self.E(i)
 
     def ad_F(self, i: int, a: Element) -> Element:
-        return self.F(i) * a * self.Ki(i) - a * self.F(i) * self.Ki(i)
+        return q_comm(self.F(i), a) * self.Ki(i)
 
     def ad_K(self, i: int, power: int, a: Element) -> Element:
         return self.conjugate_K(a, self.rd.simple(i), power)

@@ -212,6 +212,26 @@ def test_completion_stops_when_the_defect_never_vanishes(monkeypatch):
         par.complete_to_projection(tgt)
 
 
+def test_completion_gives_up_when_the_defect_degree_does_not_drop(
+        monkeypatch):
+    # the same stuck projection: the first round already leaves the
+    # defect's filtration degree where it was, so one substitution is all
+    # the loop may make before it refuses
+    base = shared_params("AIII", 2, 1)
+    par = CoidealParams(base.involution, base.algebra)
+    alg = par.algebra
+    tgt = alg.F(1)
+    monkeypatch.setattr(par, "project",
+                        lambda x: tgt if x is tgt else alg.zero())
+    calls = []
+    substitute = alg.substitute
+    monkeypatch.setattr(alg, "substitute",
+                        lambda *a: calls.append(a) or substitute(*a))
+    with pytest.raises(AssertionError, match="failed to terminate"):
+        par.complete_to_projection(tgt)
+    assert len(calls) == 1
+
+
 def test_completion_random_targets():
     rng = random.Random(2026)
     for n in (2, 3, 4):
