@@ -105,12 +105,21 @@ class CoidealParams:
             elif i <= inv.p[i - 1]:
                 mu = tuple(a + b for a, b in
                            zip(alg.rd.simple(i), inv.apply(alg.rd.simple(i))))
-                out.append(alg.K(mu))
+                if any(mu):     # theta(alpha_i) = -alpha_i gives K_0 = 1
+                    out.append(alg.K(mu))
         return out
 
     # -- completion against the projection -------------------------------------
     def project(self, x: Element) -> Element:
-        return self.algebra.project_P(x, self.involution)
+        """Projection onto U^- M^+ T_theta along the complement."""
+        inv = self.involution
+        pith = inv.pi_theta
+        keep = {}
+        for t, c in x.terms.items():
+            u, mu, v = t
+            if all(y in pith for y in v) and inv.apply(mu) == mu:
+                keep[t] = c
+        return Element(self.algebra, keep)
 
     def complete_to_projection(self, target: Element) -> Element:
         """The unique b in B_theta with P(b) = target: add the image of the
@@ -379,7 +388,12 @@ def specialize_to_matrix(alg: Algebra, x: Element, side: str):
     e, f, h = chevalley_matrices(rd.family, rd.rank)
     gens = f if side == "-" else e
     out = {}
-    for u, v, val in alg.specialize_words(x):
+    for (u, mu, v), c in x.terms.items():
+        order, val = c.eval_at_one()
+        if order < 0:
+            raise ValueError("negative valuation at q = 1")
+        if not val:
+            continue
         word = u if side == "-" else v
         if not word:
             raise ValueError("scalar term in a pure-word specialization")

@@ -30,11 +30,7 @@ from .uqalgebra import Element, q_comm
 MAX_NESTING = 200
 
 _TOKEN = re.compile(r"""
-    (?P<KIINV>Ki-(?=\d))
-  | (?P<KI>Ki(?=\d))
-  | (?P<GEN>[EFB](?=\d))
-  | (?P<TINV>Tinv(?=\d))
-  | (?P<T>T(?=\d))
+    (?P<GEN>(?:Ki-|Ki|Tinv|T|[EFB])(?=\d))
   | (?P<NAME>kappa|sigma|phiP|phi|ad|q|K)
   | (?P<NUM>\d+)
   | (?P<SYM>[\^\+\-\*/\(\)\[\],_])
@@ -95,8 +91,7 @@ class Parser:
         factors = [self.factor()]
         while True:
             k, v, _ = self.peek()
-            if k in ("NUM", "GEN", "KI", "KIINV", "NAME", "T", "TINV") or \
-                    (k == "SYM" and v in "(["):
+            if k in ("NUM", "GEN", "NAME") or k == "SYM" and v in "([":
                 factors.append(self.factor())
             elif k == "SYM" and v == "*":
                 self.take()
@@ -142,18 +137,12 @@ class Parser:
 
     def gen_atom(self):
         k, v, pos = self.peek()
-        if k == "GEN":
+        if k == "GEN" and v not in ("T", "Tinv"):
             self.take()
             idx = int(self.take("NUM")[1])
+            if v in ("Ki", "Ki-"):
+                return ("K1", idx, 1 if v == "Ki" else -1)
             return ("gen", v, idx)
-        if k == "KI":
-            self.take()
-            idx = int(self.take("NUM")[1])
-            return ("K1", idx, 1)
-        if k == "KIINV":
-            self.take()
-            idx = int(self.take("NUM")[1])
-            return ("K1", idx, -1)
         if k == "NAME" and v == "K":
             self.take()
             self.take("SYM", "[")
@@ -191,13 +180,13 @@ class Parser:
         if k == "NAME" and v == "q":
             self.take()
             return ("q",)
-        if k in ("T", "TINV"):
+        if k == "GEN" and v in ("T", "Tinv"):
             self.take()
             idx = int(self.take("NUM")[1])
             self.take("SYM", "(")
             arg = self.expr()
             self.take("SYM", ")")
-            return ("lusztig", idx, +1 if k == "T" else -1, arg)
+            return ("lusztig", idx, +1 if v == "T" else -1, arg)
         if k == "NAME" and v in ("kappa", "sigma", "phi", "phiP"):
             self.take()
             self.take("SYM", "(")
@@ -285,7 +274,11 @@ class Evaluator:
             a, b = self.run(node[1]), self.run(node[2])
             return q_comm(a, b, self._as_scalar(self.run(node[3])))
         if kind == "func":
-            return alg.apply_symmetry(node[1], self.run(node[2]))
+            table = {"kappa": alg.kappa, "sigma": alg.sigma, "phi": alg.phi,
+                     "phiP": alg.phi_prime}
+            if node[1] not in table:
+                raise ValueError("unknown symmetry %r" % node[1])
+            return table[node[1]](self.run(node[2]))
         if kind == "lusztig":
             return alg.lusztig.apply(node[1], node[2], self.run(node[3]))
         if kind == "ad":

@@ -102,7 +102,6 @@ def _pseudo_rem(a: tuple, b: tuple) -> tuple:
                 r[j] *= lc
             for j in range(db + 1):
                 r[i - db + j] -= coef * b[j]
-        # keep integers small-ish between steps
     return _trim(r)
 
 
@@ -208,12 +207,6 @@ class QRat:
     def from_fraction(x) -> "QRat":
         x = Fraction(x)
         return QRat((x.numerator,), (x.denominator,))
-
-    @staticmethod
-    def v_power(k: int) -> "QRat":
-        if k >= 0:
-            return QRat(pshift((1,), k))
-        return QRat((1,), pshift((1,), -k))
 
     # predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
@@ -333,7 +326,7 @@ ONE = QRat((1,))
 
 def qvar() -> QRat:
     """The deformation parameter q."""
-    return QRat.v_power(1)
+    return q_power(1)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +353,10 @@ def q_power(exponent) -> QRat:
     e = Fraction(exponent)
     if e.denominator != 1:
         raise ValueError("q**%s is not an integral power of q" % exponent)
-    return QRat.v_power(e.numerator)
+    k = e.numerator
+    if k >= 0:
+        return QRat(pshift((1,), k))
+    return QRat((1,), pshift((1,), -k))
 
 
 MEMOS = (_add, _mul, q_power)

@@ -122,18 +122,10 @@ class RootData:
         return w
 
     def is_root(self, w: Weight) -> bool:
-        return w in self._root_set
+        return w in _root_set(self)
 
     def is_positive_root(self, w: Weight) -> bool:
-        return w in self._positive_set
-
-    @property
-    def _positive_set(self):
-        return _positive_set(self)
-
-    @property
-    def _root_set(self):
-        return _root_set(self)
+        return w in _positive_set(self)
 
     # -- Weyl group ------------------------------------------------------
     def reflect(self, i: int, lam: Weight) -> Weight:
@@ -206,26 +198,21 @@ def build_root_data(family: str, rank: int) -> RootData:
     d = _symmetrizers(family, rank)
     rd = RootData(family, rank, cartan, d)
 
-    # positive roots by closure along root strings, height by height
-    simple = [rd.simple(i) for i in range(1, rank + 1)]
-    roots = set(simple)
-    layer = list(simple)
+    # every root is W-conjugate to a simple root (Humphreys 10.3): the
+    # Weyl orbit of the simple roots, closed under each reflection
+    roots = {rd.simple(i) for i in range(1, rank + 1)}
+    layer = list(roots)
     while layer:
         nxt = []
         for beta in layer:
-            for i in range(rank):
-                p = 0
-                cur = tuple(b - s for b, s in zip(beta, simple[i]))
-                while any(cur) and cur in roots:
-                    p += 1
-                    cur = tuple(b - s for b, s in zip(cur, simple[i]))
-                if p - rd.pairing(beta, i) > 0:
-                    new = tuple(b + s for b, s in zip(beta, simple[i]))
-                    if new not in roots:
-                        roots.add(new)
-                        nxt.append(new)
+            for i in range(1, rank + 1):
+                new = rd.reflect(i, beta)
+                if new not in roots:
+                    roots.add(new)
+                    nxt.append(new)
         layer = nxt
-    positive = tuple(sorted(roots, key=lambda w: (sum(w), w)))
+    positive = tuple(sorted((w for w in roots if sum(w) > 0),
+                            key=lambda w: (sum(w), w)))
     if len(positive) != _POSITIVE_ROOT_COUNTS[family](rank):
         raise AssertionError("positive root count mismatch for %s%d"
                              % (family, rank))

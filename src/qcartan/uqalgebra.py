@@ -240,9 +240,6 @@ class Algebra:
     def ad_F(self, i: int, a: Element) -> Element:
         return q_comm(self.F(i), a) * self.Ki(i)
 
-    def ad_K(self, i: int, power: int, a: Element) -> Element:
-        return self.conjugate_K(a, self.rd.simple(i), power)
-
     def ad_word(self, gens, a: Element) -> Element:
         """(ad g_1 g_2 ... g_m) a, rightmost generator acting first; each
         g is ("E"|"F"|"K"|"K-", i)."""
@@ -252,7 +249,8 @@ class Algebra:
             elif kind == "F":
                 a = self.ad_F(i, a)
             elif kind in ("K", "K-"):
-                a = self.ad_K(i, +1 if kind == "K" else -1, a)
+                a = self.conjugate_K(a, self.rd.simple(i),
+                                     +1 if kind == "K" else -1)
             else:
                 raise ValueError("unknown adjoint generator %r"
                                  % ((kind, i),))
@@ -307,13 +305,6 @@ class Algebra:
         agree on F_iK_i, K_i^{-1}E_i and K_mu."""
         return self.kappa(self.phi(self.kappa(a)))
 
-    def apply_symmetry(self, kind: str, a: Element) -> Element:
-        table = {"kappa": self.kappa, "sigma": self.sigma, "phi": self.phi,
-                 "phiP": self.phi_prime}
-        if kind not in table:
-            raise ValueError("unknown symmetry %r" % kind)
-        return table[kind](a)
-
     # -- gradings ---------------------------------------------------------------
     def biweight_components(self, a: Element) -> dict:
         out: dict = {}
@@ -346,17 +337,6 @@ class Algebra:
         if a.is_zero():
             raise ValueError("zero element has no filtration degree")
         return max(len(t[0]) - self.rd.height(t[1]) for t in a.terms)
-
-    # -- the coideal projection ---------------------------------------------------
-    def project_P(self, a: Element, inv) -> Element:
-        """Projection onto U^- M^+ T_theta along the complement."""
-        pith = inv.pi_theta
-        keep = {}
-        for t, c in a.terms.items():
-            u, mu, v = t
-            if all(x in pith for x in v) and inv.apply(mu) == mu:
-                keep[t] = c
-        return Element(self, keep)
 
     # -- subspace computations -------------------------------------------------
     def weight_space_elements(self, beta) -> list[Element]:
@@ -517,17 +497,6 @@ class Algebra:
             if g and g.eval_at_one()[0] < -sum(e):
                 return False
         return True
-
-    def specialize_words(self, a: Element):
-        """q -> 1, K -> 1: list of (f_word, e_word, Fraction) triples."""
-        out = []
-        for (u, mu, v), c in a.terms.items():
-            order, value = c.eval_at_one()
-            if order < 0:
-                raise ValueError("negative valuation at q = 1")
-            if value:
-                out.append((u, v, value))
-        return out
 
 
 def q_comm(a: Element, b: Element, scale=ONE) -> Element:

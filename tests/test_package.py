@@ -46,10 +46,15 @@ def test_every_import_is_used():
 
 
 def test_every_private_definition_is_referenced():
+    """Private module-level functions and classes, and private methods in
+    a class body, are each referenced somewhere in `src/`."""
     modules = _modules()
     used = set().union(*map(_used_names, modules.values()))
     for stem, tree in modules.items():
-        for node in tree.body:
+        defs = list(tree.body)
+        defs += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body]
+        for node in defs:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
                     node.name.startswith("_") and not node.name.startswith("__"):
                 assert node.name in used, "%s.%s is never referenced" % (

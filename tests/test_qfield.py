@@ -168,7 +168,7 @@ def test_gauss_binomial_range_error():
 
 
 def test_fractional_power_guard():
-    assert q_power(Fraction(4, 2)) == QRat.v_power(2)
+    assert q_power(Fraction(4, 2)) == QRat((0, 0, 1))
     with pytest.raises(ValueError):
         q_power(Fraction(1, 2))
 
@@ -410,7 +410,7 @@ def test_memoised_arithmetic_matches_fresh(pairs, exponents, bound):
             for x in first.values():
                 _assert_canonical(x)
         for e in exponents + exponents:
-            assert qfield.q_power(e) == QRat.v_power(e) == \
+            assert qfield.q_power(e) == saved[2].__wrapped__(e) == \
                 qfield.q_power(Fraction(e))
             assert all(memo.cache_info().currsize <= bound for memo in small)
     finally:

@@ -143,6 +143,40 @@ def test_reflection_closure():
                 assert rd.is_positive_root(img) or img == neg
 
 
+def _root_string_closure(rd) -> tuple:
+    """The positive roots by closure along alpha_i-strings, height by
+    height: beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0, with
+    p the length of the string below beta."""
+    simple = [rd.simple(i) for i in range(1, rd.rank + 1)]
+    roots = set(simple)
+    layer = list(simple)
+    while layer:
+        nxt = []
+        for beta in layer:
+            for i in range(rd.rank):
+                p = 0
+                cur = tuple(b - s for b, s in zip(beta, simple[i]))
+                while any(cur) and cur in roots:
+                    p += 1
+                    cur = tuple(b - s for b, s in zip(cur, simple[i]))
+                if p - rd.pairing(beta, i) > 0:
+                    new = tuple(b + s for b, s in zip(beta, simple[i]))
+                    if new not in roots:
+                        roots.add(new)
+                        nxt.append(new)
+        layer = nxt
+    return tuple(sorted(roots, key=lambda w: (sum(w), w)))
+
+
+@pytest.mark.parametrize("family,rank", [("A", n) for n in range(1, 9)] +
+                         [(f, n) for f in "BC" for n in range(2, 7)] +
+                         [("D", n) for n in range(4, 8)] +
+                         [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+def test_weyl_orbit_matches_root_strings(family, rank):
+    rd = build_root_data(family, rank)
+    assert rd.positive_roots == _root_string_closure(rd)
+
+
 def test_weight_stats():
     a3 = build_root_data("A", 3)
     lam = a3.weight((1, 1, 1))

@@ -10,6 +10,7 @@ import pytest
 from conftest import shared_algebra
 
 import qcartan
+from qcartan.coideal import CoidealParams
 from qcartan.involutions import build_involution
 from qcartan.linalg import Echelon, _accumulate, add_scaled, kernel_basis
 from qcartan.qfield import (MEMOS, ONE, QRat, gauss_binomial, q_power,
@@ -180,7 +181,7 @@ def test_reduction_against_naive_oracle():
 
 def test_ad_action(a2):
     q = a2.q
-    assert a2.ad_K(1, 1, a2.F(2)) == a2.F(2).scale(q)
+    assert a2.ad_word([("K", 1)], a2.F(2)) == a2.F(2).scale(q)
     lamw = (2, 1)
     coef = ONE - q_power(a2.rd.inner(a2.rd.weight(lamw), a2.rd.simple(1)))
     lhs = a2.ad_F(1, a2.K(tuple(-x for x in lamw)))
@@ -194,7 +195,7 @@ def test_ad_counit_characterizes_commutant(a2):
     # (ad E_i)a = 0, (ad F_i)a = 0, (ad K_i)a = a  iff  a commutes with all
     x = a2.K((1, -1)) * a2.K((-1, 1))  # the identity
     assert a2.ad_E(1, x).is_zero() and a2.ad_F(1, x).is_zero()
-    assert a2.ad_K(1, 1, x) == x
+    assert a2.ad_word([("K", 1)], x) == x
 
 
 def test_biweight_components(a2):
@@ -249,24 +250,24 @@ def test_filtration_degree(a2):
 
 
 def test_projection(a2):
-    inv = build_involution("AIII", 2, 1)
+    project = CoidealParams(build_involution("AIII", 2, 1), a2).project
     q = a2.q
     B1 = a2.F(1) + a2.E(2) * a2.Ki(1, -1)
     B2 = a2.F(2) + a2.E(1) * a2.Ki(2, -1)
-    assert a2.project_P(B1, inv) == a2.F(1)
+    assert project(B1) == a2.F(1)
     K = a2.K((1, -1))
-    assert a2.project_P(K, inv) == K
-    assert a2.project_P(a2.Ki(1, -1), inv).is_zero()
+    assert project(K) == K
+    assert project(a2.Ki(1, -1)).is_zero()
     H1p = B2 * B1 - (B1 * B2).scale(q)
-    got = a2.project_P(H1p, inv)
+    got = project(H1p)
     expect = a2.F(2) * a2.F(1) - (a2.F(1) * a2.F(2)).scale(q) + \
         (K.scale(q ** -1) - a2.K((-1, 1))).scale((q - q ** -1).inverse())
     assert got == expect
-    assert a2.project_P(got, inv) == got
+    assert project(got) == got
     # linearity
     x, y = a2.F(1) * a2.E(2), a2.K((1, -1)) * a2.F(2)
-    assert a2.project_P(x + y.scale(q), inv) == \
-        a2.project_P(x, inv) + a2.project_P(y, inv).scale(q)
+    assert project(x + y.scale(q)) == \
+        project(x) + project(y).scale(q)
 
 
 def test_centralizer_basis(a3):
