@@ -55,6 +55,7 @@ class CoidealParams:
                     raise ValueError(
                         "parameter at index %d has a pole at q = 1" % i)
         self._B: dict = {}
+        self._h_prime: dict = {}
 
     # -- theta_q on the F_i K_i generators ---------------------------------
     def theta_q_FK(self, i: int) -> Element:
@@ -243,16 +244,21 @@ class CoidealParams:
         r = (n + 1) // 2
         if not 1 <= j <= r:
             raise ValueError("h_prime index out of range")
+        if j in self._h_prime:
+            return self._h_prime[j]
         q = alg.q
-        if j == r:
-            if n % 2 == 1:
-                return self.B(r)
+        if j == r and n % 2 == 1:
+            out = self.B(r)
+        elif j == r:
             torus = (alg.Ki(r) * alg.Ki(r + 1, -1)).scale(q ** -1) \
                 - alg.Ki(r, -1) * alg.Ki(r + 1)
-            return q_comm(self.B(r + 1), self.B(r), q) \
+            out = q_comm(self.B(r + 1), self.B(r), q) \
                 - torus.scale((q - q ** -1).inverse())
-        inner = q_comm(self.h_prime(j + 1), self.B(j), q)
-        return q_comm(self.B(n - j + 1), inner, q)
+        else:
+            inner = q_comm(self.h_prime(j + 1), self.B(j), q)
+            out = q_comm(self.B(n - j + 1), inner, q)
+        self._h_prime[j] = out
+        return out
 
     def w_lowest(self, j: int) -> Element:
         """W_j: the nested q-commutator of the plain F's."""

@@ -186,8 +186,11 @@ class QRat:
             return
         g = pgcd(num, den)
         if len(g) > 1:
-            num = pdivexact(num, g)
-            den = pdivexact(den, g)
+            if any(g[:-1]):
+                num = pdivexact(num, g)
+                den = pdivexact(den, g)
+            else:           # g = v^k: drop k zero low coefficients
+                num, den = num[len(g) - 1:], den[len(g) - 1:]
         cn, cd = pcontent(num), pcontent(den)
         c = _igcd(cn, cd)
         if den[-1] < 0:

@@ -279,11 +279,14 @@ def weights_below(beta: Weight) -> list:
     return sorted(itertools.product(*(range(c + 1) for c in beta)), key=sum)
 
 
-def kostant_partition_count(rd: RootData, beta: Weight) -> int:
+def kostant_partition_count(rd: RootData, beta: Weight,
+                            counts: dict | None = None) -> int:
     """Number of multisets of positive roots summing to beta (independent
     enumeration; the oracle for PBW weight-space dimensions), counted as
     coin change with one pass per positive root over the weights below
-    beta."""
+    beta.  The walk counts every weight below beta on the way; a dict
+    passed as `counts` receives those counts, keyed in the order of
+    `weights_below`."""
     if any(c < 0 or c.denominator != 1 for c in beta):
         return 0
     below = weights_below(tuple(int(c) for c in beta))
@@ -296,6 +299,8 @@ def kostant_partition_count(rd: RootData, beta: Weight) -> int:
             low = tuple(a - b for a, b in zip(w, r))
             if low in count:
                 count[w] += count[low]
+    if counts is not None:
+        counts.update(count)
     return count[below[-1]]
 
 

@@ -14,16 +14,24 @@ E_i F_i K_i - q^-2 F_i K_i E_i = -(q - q^-1)^-1 (1 - K_i^2) in simply laced
 types and the printed coideal relations; the braid/automorphism tests pin
 them down further.  Coefficients lie in Q(q) and every power of q the engine
 forms is an integer.
+
+A product a * b forms a * F_p once for each distinct prefix p of b's
+F-words.  Each weight-level factor of a product (the exchange pair of
+(j, v), the K-shift of (mu, j), the q-power of K_mu past E_v) is computed
+once per session, by `functools.lru_cache` memos that each `Algebra` builds
+over its own root data and weight spaces, so they die with it.  The two
+keyed by K-exponents hold at most MEMO_BOUND entries each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import product
 
 from .linalg import Echelon, _accumulate, add_scaled, kernel_basis
-from .qfield import (ONE, QRat, clear_memos, format_qrat, q_factorial,
-                     q_power)
+from .qfield import (MEMO_BOUND, ONE, QRat, clear_memos, format_qrat,
+                     q_factorial, q_power)
 from .rootsys import RootData, build_root_data, weights_below
 from .weightspaces import WeightSpaces
 
@@ -118,6 +126,13 @@ class Algebra:
         # (i, direction) -> T_i images as term dicts: cached Elements would
         # hold the session in a cycle that keeps its tables until a full gc
         self._t_images: dict = {}
+        # memos of the product's weight-level factors, over rd and ws alone
+        # for the same reason; the K-keyed ones are bounded, as a warm
+        # session meets ever new K-exponents
+        self._exchange = lru_cache(maxsize=None)(partial(_exchange, self.ws))
+        self._k_shift = lru_cache(maxsize=MEMO_BOUND)(partial(_k_shift, rd))
+        self._k_past_e = lru_cache(maxsize=MEMO_BOUND)(
+            partial(_k_past_e, self.ws))
         clear_memos()       # each engine session starts with empty memos
 
     # -- constructors -----------------------------------------------------
@@ -186,39 +201,38 @@ class Algebra:
         table's [E_j, F_v] = A K_j + K_j^{-1} B, read on E-words, gives
         E_v F_j = F_j E_v - A K_j^{-1} - K_j B, and
         A K_j^{-1} = q^((alpha_j, wt v - alpha_j)) K_j^{-1} A."""
-        rd = self.rd
-        ws = self.ws
-        alpha = rd.simple(j)
-        d = rd.d[j - 1]             # (lam, alpha_j) = d_j <lam, alpha_j^vee>
+        exchange, k_shift = self._exchange, self._k_shift
         out: dict = {}
         for (u, mu, v), c in terms.items():
-            _accumulate(out, (u + (j,), mu, v),
-                        c * q_power(-d * rd.pairing(mu, j - 1)))
-            a_v, b_v = ws.commutator(j, v)
+            q_mu, mu_a, mu_b = k_shift(mu, j)
+            _accumulate(out, (u + (j,), mu, v), c * q_mu)
+            a_v, b_v, q_v = exchange(j, v)
             if a_v:
-                ca = -c * q_power(
-                    d * (rd.pairing(ws.word_weight(v), j - 1) - 2))
-                mu_a = tuple(m - a for m, a in zip(mu, alpha))
+                ca = -c * q_v
                 for w, cw in a_v.items():
                     _accumulate(out, (u, mu_a, w), ca * cw)
             if b_v:
-                mu_b = tuple(m + a for m, a in zip(mu, alpha))
                 for w, cw in b_v.items():
                     _accumulate(out, (u, mu_b, w), -c * cw)
         return out
 
     def mul(self, a: Element, b: Element) -> Element:
         """Move b's F-words left past a's E-words, then join the K's and
-        E-words (E_v K_mu = q^(-(mu, wt v)) K_mu E_v) and reduce once."""
+        E-words (E_v K_mu = q^(-(mu, wt v)) K_mu E_v) and reduce once.
+        a * F_p is formed once for each prefix p of b's F-words, from
+        a * F_p' for p = p' + (j,), shared by every term of b that has it."""
+        k_past_e = self._k_past_e
+        left = {(): a.terms}            # F-word prefix p -> a * F_p
+        for u2, _, _ in b.terms:
+            for n in range(len(u2)):
+                if u2[:n + 1] not in left:
+                    left[u2[:n + 1]] = self._times_F(left[u2[:n]], u2[n])
+
         def joined():
             for (u2, mu2, v2), c2 in b.terms.items():
-                cur = a.terms
-                for j in u2:
-                    cur = self._times_F(cur, j)
-                for (u, mu, v), c in cur.items():
+                for (u, mu, v), c in left[u2].items():
                     if v and any(mu2):
-                        c = c * q_power(-self.rd.inner(
-                            mu2, self.ws.word_weight(v)))
+                        c = c * k_past_e(mu2, v)
                     yield ((u, tuple(m + x for m, x in zip(mu, mu2)),
                             v + v2), c * c2)
         return self.from_terms(joined())
@@ -497,6 +511,29 @@ class Algebra:
             if g and g.eval_at_one()[0] < -sum(e):
                 return False
         return True
+
+
+def _exchange(ws: WeightSpaces, j: int, v: tuple) -> tuple:
+    """(A, B, q^(d_j(<wt v, alpha_j^vee> - 2))) for E_v F_j: the table's
+    [E_j, F_v] = A K_j + K_j^{-1} B and the factor A K_j^{-1} picks up."""
+    rd = ws.rd
+    a_v, b_v = ws.commutator(j, v)
+    q_v = q_power(rd.d[j - 1] * (rd.pairing(ws.word_weight(v), j - 1) - 2))
+    return a_v, b_v, q_v
+
+
+def _k_shift(rd: RootData, mu, j: int) -> tuple:
+    """(q^(-d_j <mu, alpha_j^vee>), mu - alpha_j, mu + alpha_j): K_mu F_j
+    = q^(-(mu, alpha_j)) F_j K_mu, and the K-exponents of E_v F_j's terms."""
+    alpha = rd.simple(j)
+    return (q_power(-rd.d[j - 1] * rd.pairing(mu, j - 1)),
+            tuple(m - a for m, a in zip(mu, alpha)),
+            tuple(m + a for m, a in zip(mu, alpha)))
+
+
+def _k_past_e(ws: WeightSpaces, mu, v: tuple) -> QRat:
+    """q^(-(mu, wt v)), with E_v K_mu = q^(-(mu, wt v)) K_mu E_v."""
+    return q_power(-ws.rd.inner(mu, ws.word_weight(v)))
 
 
 def q_comm(a: Element, b: Element, scale=ONE) -> Element:

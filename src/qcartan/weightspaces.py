@@ -4,7 +4,9 @@ The quantum Serre quotient is computed by weight-graded linear algebra, one
 weight space at a time.  Asking for a space builds it bottom-up: every
 missing weight below it, lowest height first (`rootsys.weights_below`), so
 each build reads the spaces one simple root lower from the table and nothing
-recurses.  A weight space is spanned by generator-times-lower-basis words;
+recurses.  One Kostant walk up to the weight asked for
+(`rootsys.kostant_partition_count`) gives each build the dimension it must
+reach.  A weight space is spanned by generator-times-lower-basis words;
 dependencies among those are detected through the commutator maps [E_k, -],
 which are injective on U^- in negative weights (the nondegeneracy of the
 standard pairing).  Both signs share these tables because the E- and F-side
@@ -16,7 +18,7 @@ is stored once, in one of three flat tables:
 
 - `_spaces`: weight -> basis words in lex order, written by `space`;
 - `_ab`: (k, basis word) -> (A, B), written by `_build`, read through
-  `commutator`;
+  `commutator`, and by `_build` itself for the lower basis words;
 - `_reduce_memo`: word -> basis coordinates.  `_build` writes each spanning
   word (a generator times a basis word one simple root lower), so any free
   word reduces by peeling letters from the left; `reduce_word` writes the
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 from .linalg import Echelon, add_scaled
 from .qfield import ONE, q_power
-from .rootsys import RootData, kostant_partition_count, weights_below
+from .rootsys import RootData, kostant_partition_count
 
 P = (1 << 61) - 1
 # tried in order; 37 is a primitive root mod P, so 37**k has multiplicative
@@ -173,15 +175,19 @@ class WeightSpaces:
     def space(self, weight: tuple) -> tuple:
         """The basis words at `weight`, building it and every missing weight
         below it first, lowest height first, so that `_build` finds each
-        space one simple root lower already in the tables."""
+        space one simple root lower already in the tables.  One Kostant
+        walk up to `weight` gives every build its expected dimension."""
         got = self._spaces.get(weight)
         if got is None:
             if any(c < 0 for c in weight):
                 raise ValueError("weight not in the positive cone: %r"
                                  % (weight,))
-            for low in weights_below(weight):
+            # one Kostant walk counts every weight below, lowest first
+            counts: dict = {}
+            kostant_partition_count(self.rd, weight, counts)
+            for low, dim in counts.items():
                 if low not in self._spaces:
-                    self._spaces[low] = self._build(low)
+                    self._spaces[low] = self._build(low, dim)
             got = self._spaces[weight]
         return got
 
@@ -191,10 +197,10 @@ class WeightSpaces:
     def basis_words(self, weight: tuple) -> tuple:
         return self.space(weight)
 
-    def _build(self, weight: tuple) -> tuple:
-        """The basis words at `weight`; writes the (A, B) of each into
-        `_ab` and every spanning word's basis coordinates into
-        `_reduce_memo`."""
+    def _build(self, weight: tuple, expected: int) -> tuple:
+        """The basis words at `weight`, checked to number `expected` (its
+        Kostant count); writes the (A, B) of each into `_ab` and every
+        spanning word's basis coordinates into `_reduce_memo`."""
         rd = self.rd
         n = rd.rank
         if not any(weight):
@@ -223,7 +229,7 @@ class WeightSpaces:
                 if k not in lowers:
                     parts[k] = ({}, {})
                     continue
-                a_b, b_b = self.commutator(k, b)
+                a_b, b_b = self._ab[k, b]     # b's space is built
                 # F_i * (lower A/B parts), pushed into basis coords of wk
                 av, bv = {}, {}
                 for lw, c in a_b.items():
@@ -253,7 +259,6 @@ class WeightSpaces:
             raise AssertionError("no evaluation point certified %r"
                                  % (weight,))
         dim = len(spanning) - len(relations)
-        expected = kostant_partition_count(rd, weight)
         if dim != expected:
             raise AssertionError(
                 "weight space dimension %d != Kostant count %d at %r"
@@ -273,7 +278,8 @@ class WeightSpaces:
         """(A, B) with [E_k, F_w] = A K_k + K_k^{-1} B for a basis word w, in
         basis coordinates one alpha_k lower; read on E-words (E_i <-> F_i,
         K_mu -> K_{-mu}) it gives [F_k, E_w] = A K_k^{-1} + K_k B.  The
-        engine's only E-F relation: _build and Algebra.mul both read it."""
+        engine's only E-F relation: Algebra.mul reads it, and _build reads
+        `_ab` itself for the lower basis words it has just built."""
         self.space(self.word_weight(word))
         return self._ab[k, word]
 

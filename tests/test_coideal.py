@@ -171,6 +171,26 @@ def test_h_prime_recursion_and_cases():
         par4.h_prime(3)
 
 
+def test_h_prime_is_built_once_per_session(monkeypatch):
+    # H'_j nests H'_{j+1}: with the session's memo, the suite's H'_1..H'_3
+    # at n = 5 take two q-commutators per j below the middle, 4 in all
+    # (6 when each H'_j rebuilt the ones it nests)
+    from qcartan import coideal
+    inv = build_involution("AIII", 5, 3)
+    par = CoidealParams(inv, Algebra(inv.rd))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return q_comm(*args)
+
+    monkeypatch.setattr(coideal, "q_comm", counted)
+    hps = {j: par.h_prime(j) for j in range(1, 4)}
+    assert len(calls) == 4
+    assert all(par.h_prime(j) is hps[j] for j in hps)
+    assert hps[3] == par.B(3)
+
+
 def test_completion_and_membership():
     par = shared_params("AIII", 2, 1)
     alg = par.algebra

@@ -211,6 +211,21 @@ def test_kostant_count_at_highest_root(family, rank, count):
     assert kostant_partition_count(rd, highest) == count
 
 
+@pytest.mark.parametrize("family,rank", [
+    ("A", 5), ("B", 4), ("C", 3), ("D", 4), ("E", 6), ("F", 4), ("G", 2)])
+def test_kostant_walk_counts_every_weight_below(family, rank):
+    # the one walk up to the highest root leaves the count of every weight
+    # below it, each equal to that weight's own walk in its own box
+    rd = build_root_data(family, rank)
+    highest = max(rd.positive_roots, key=rd.height)
+    counts: dict = {}
+    top = kostant_partition_count(rd, highest, counts)
+    assert list(counts) == weights_below(highest)
+    assert counts[highest] == top
+    for w, n in counts.items():
+        assert n == kostant_partition_count(rd, w), w
+
+
 def _kostant_by_enumeration(rd, beta) -> int:
     """Multisets of positive roots summing to beta, enumerated root by root
     (how many of each), memoised on (remaining weight, root index)."""

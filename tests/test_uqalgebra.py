@@ -1,9 +1,11 @@
+import gc
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from qcartan.involutions import build_involution
 from qcartan.linalg import Echelon, _accumulate, add_scaled, kernel_basis
 from qcartan.qfield import (MEMOS, ONE, QRat, gauss_binomial, q_power,
                             qvar)
+from qcartan.rootsys import weights_up_to_height
 from qcartan.uqalgebra import Algebra, Element
 
 
@@ -498,6 +501,66 @@ def test_product_matches_letter_by_letter_oracle(family, rank):
             assert u in ws.basis_words(ws.word_weight(u))
             assert v in ws.basis_words(ws.word_weight(v))
     assert with_e >= 10
+
+
+def _shared_prefix_factor(alg, rng, pool):
+    """3-6 terms whose F- and E-words are basis words drawn from `pool`, so
+    that F-words recur and share prefixes, each at a K-shift in
+    {-1, 0, 1}^rank."""
+    n = alg.rd.rank
+    return {(rng.choice(pool), tuple(rng.randint(-1, 1) for _ in range(n)),
+             rng.choice(pool)):
+            q_power(rng.randint(-2, 2)) * QRat.from_int(rng.choice([1, -2, 3]))
+            for _ in range(rng.randint(3, 6))}
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 2), ("G", 2)])
+def test_product_forms_each_F_prefix_once(monkeypatch, family, rank):
+    # mul forms a * F_p once per distinct prefix p of b's F-words, and
+    # agrees with the letter-by-letter oracle, which redoes every prefix
+    # for every term of b
+    alg = Algebra(family, rank)
+    ws = alg.ws
+    pool = [w for beta in weights_up_to_height(alg.rd, 3)
+            for w in ws.basis_words(beta)] + [()]
+    rng = random.Random("prefix %s%d" % (family, rank))
+    calls = []
+    times_F = alg._times_F
+
+    def counted(terms, j):
+        calls.append(j)
+        return times_F(terms, j)
+
+    monkeypatch.setattr(alg, "_times_F", counted)
+    shared = 0
+    for _ in range(25):
+        a = _shared_prefix_factor(alg, rng, pool)
+        b = _shared_prefix_factor(alg, rng, pool)
+        del calls[:]
+        got = alg.mul(Element(alg, a), Element(alg, b)).terms
+        assert got == _oracle_mul(alg, a, b)
+        prefixes = {u[:k] for u, _, _ in b for k in range(1, len(u) + 1)}
+        assert len(calls) == len(prefixes)
+        shared += len(prefixes) < sum(len(u) for u, _, _ in b)
+    assert shared >= 5
+
+
+def test_session_memos_die_with_their_algebra():
+    # the product's memos are built over the session's root data and
+    # weight spaces and hold no Element, so no reference cycle keeps a
+    # finished session, or its memos, alive until a full gc
+    gc.disable()
+    try:
+        alg = Algebra("B", 2)
+        x = alg.E(2) * alg.K((1, -1)) * alg.E(1) * alg.F(1) * alg.F(2)
+        memos = (alg._exchange, alg._k_shift, alg._k_past_e)
+        assert x.terms and all(m.cache_info().currsize for m in memos)
+        del memos
+        ref = weakref.ref(alg)
+        del alg, x
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_from_terms_reduces_free_words(a2):

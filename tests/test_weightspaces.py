@@ -17,7 +17,8 @@ from conftest import recursion_headroom
 from qcartan import weightspaces
 from qcartan.linalg import Echelon
 from qcartan.qfield import ONE
-from qcartan.rootsys import build_root_data, weights_up_to_height
+from qcartan.rootsys import (build_root_data, kostant_partition_count,
+                             weights_up_to_height)
 from qcartan.weightspaces import WeightSpaces
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "weight_tables.json"
@@ -198,6 +199,30 @@ def test_solve_matches_full_elimination(monkeypatch, family, rank, top):
     for weight in weights:
         ws.space(weight)
     assert solved == [weightspaces.POINTS[0]] * (len(ws._spaces) - 1)
+
+
+def test_build_checks_the_kostant_count(monkeypatch):
+    # `space` hands each build its count from one Kostant walk; a count off
+    # by one, given directly or by the walk, fails the build
+    rd = build_root_data("B", 2)
+    weight = (1, 2)
+    n = kostant_partition_count(rd, weight)
+    ws = WeightSpaces(rd)
+    ws.space((1, 1))
+    ws.space((0, 2))
+    for wrong in (n - 1, n + 1):
+        with pytest.raises(AssertionError, match="Kostant count"):
+            ws._build(weight, wrong)
+    assert ws._build(weight, n) == WeightSpaces(rd).space(weight)
+
+    def off_by_one(rd, beta, counts):
+        got = kostant_partition_count(rd, beta, counts)
+        counts[beta] += 1
+        return got
+
+    monkeypatch.setattr(weightspaces, "kostant_partition_count", off_by_one)
+    with pytest.raises(AssertionError, match="Kostant count"):
+        WeightSpaces(rd).space(weight)
 
 
 def test_negative_weight_is_refused():
