@@ -108,7 +108,7 @@ class Echelon:
 
 def _one_like(vec: dict):
     for v in vec.values():
-        return v / v
+        return v ** 0
     return 1
 
 

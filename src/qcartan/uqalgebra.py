@@ -356,7 +356,7 @@ class Algebra:
     def weight_space_elements(self, beta) -> list[Element]:
         """The basis words of U^-_{-beta} as elements."""
         return [Element(self, {(w, self.rd.zero(), ()): ONE})
-                for w in self.ws.basis_words(self.rd.weight(beta))]
+                for w in self.ws.space(self.rd.weight(beta))]
 
     def centralizer_basis(self, beta, subset) -> list[Element]:
         """Basis of the centralizer of U_{pi'}, pi' = subset, in U^-_{-beta}:

@@ -24,8 +24,20 @@ is stored once, in one of three flat tables:
   word reduces by peeling letters from the left; `reduce_word` writes the
   words it reduces.
 
-Each spanning word's stacked commutator vector is computed exactly, and the
-dependencies among them are found in three steps:
+A spanning word that begins with the leading (lex-largest) word of a
+quantum Serre relation, j i^m for i < j or i^m j for i > j with
+m = 1 - a_ij, is never a basis word: the relation, followed by the rest of
+the word, expresses it through lex-smaller words.  So before anything is
+solved these words are set aside, and after the solve each one, in lex
+order, is read off its relation: the sum, with the coefficients
++-[m choose k]_{q_i}, of its relation's other words followed by the same
+suffix, each reduced by peeling onto spanning words that come earlier in
+lex order.  Such a word would reduce to zero in step 1 below and add no
+row, so leaving it out changes no basis word, pivot key or support, and
+its coordinates in a basis are unique.
+
+Each remaining spanning word's stacked commutator vector is computed
+exactly, and the dependencies among them are found in three steps:
 
 1. Choose over F_P, P = 2^61 - 1: the vectors are evaluated at a point v0
    and reduced greedily in spanning order, each row keeping its
@@ -51,7 +63,7 @@ v0; in each case the weight is rebuilt at the next point of POINTS.
 from __future__ import annotations
 
 from .linalg import Echelon, add_scaled
-from .qfield import ONE, q_power
+from .qfield import ONE, gauss_binomial, q_power
 from .rootsys import RootData, kostant_partition_count
 
 P = (1 << 61) - 1
@@ -170,6 +182,25 @@ class WeightSpaces:
         # (k, i) -> q^{-(alpha_k, alpha_i)}
         self._qpair = {(k, i): q_power(-rd.inner(ak, ai))
                        for k, ak in simple.items() for i, ai in simple.items()}
+        # leading word -> ((word, c), ...), the leading word being the sum
+        # of c * word: the lex-largest word of each quantum Serre relation
+        # sum_k (-1)^k [m choose k]_{q_i} F_i^{m-k} F_j F_i^k = 0,
+        # m = 1 - a_ij; for i < j it is j i^m, for i > j it is i^m j
+        self._serre = {}
+        for i in simple:
+            for j in simple:
+                if i == j:
+                    continue
+                m = 1 - rd.cartan[i - 1][j - 1]
+                words = [(i,) * (m - k) + (j,) + (i,) * k
+                         for k in range(m + 1)]
+                lead = m if i < j else 0
+                rel = []
+                for k, w in enumerate(words):
+                    if k != lead:
+                        c = gauss_binomial(m, k, rd.d[i - 1])
+                        rel.append((w, c if (k - lead) % 2 else -c))
+                self._serre[words[lead]] = tuple(rel)
 
     # -- space construction ----------------------------------------------
     def space(self, weight: tuple) -> tuple:
@@ -191,6 +222,7 @@ class WeightSpaces:
             got = self._spaces[weight]
         return got
 
+    # kept for `bench/tracing.py`, which names both; nothing else calls them
     def dimension(self, weight: tuple) -> int:
         return len(self.space(weight))
 
@@ -200,7 +232,10 @@ class WeightSpaces:
     def _build(self, weight: tuple, expected: int) -> tuple:
         """The basis words at `weight`, checked to number `expected` (its
         Kostant count); writes the (A, B) of each into `_ab` and every
-        spanning word's basis coordinates into `_reduce_memo`."""
+        spanning word's basis coordinates into `_reduce_memo`.  The words
+        that lead a Serre relation (the keys of `_serre`) get no commutator
+        vector: they are read off their relations once the others are
+        solved."""
         rd = self.rd
         n = rd.rank
         if not any(weight):
@@ -218,6 +253,18 @@ class WeightSpaces:
                     -rd.inner(rd.simple(i), low))
                 spanning.extend((i,) + b for b in self._spaces[low])
         memo = self._reduce_memo
+
+        # a spanning word that starts with a Serre relation's leading word
+        # is read off that relation; the rest are solved
+        serre = self._serre
+        sizes = {len(lead) for lead in serre}
+        solved, derived = [], []
+        for word in spanning:
+            lead = next((word[:s] for s in sizes if word[:s] in serre), None)
+            if lead is None:
+                solved.append(word)
+            else:
+                derived.append((word, serre[lead], word[len(lead):]))
 
         # commutator data: [E_k, x] = A_k(x) K_k + K_k^{-1} B_k(x)
         def psi(word):
@@ -247,7 +294,7 @@ class WeightSpaces:
                     stacked[("B", k, lw)] = c
             return stacked, parts
 
-        found = [psi(word) for word in spanning]
+        found = [psi(word) for word in solved]
         vectors = [stacked for stacked, _ in found]
         for v0 in POINTS:
             try:
@@ -258,20 +305,33 @@ class WeightSpaces:
         else:
             raise AssertionError("no evaluation point certified %r"
                                  % (weight,))
-        dim = len(spanning) - len(relations)
+        dim = len(solved) - len(relations)
         if dim != expected:
             raise AssertionError(
                 "weight space dimension %d != Kostant count %d at %r"
                 % (dim, expected, weight))
         basis = []
-        for num, word in enumerate(spanning):
+        for num, word in enumerate(solved):
             rel = relations.get(num)
             if rel is None:
                 basis.append(word)
                 rel = {num: ONE}
                 self._ab.update(((k, word), ab)
                                 for k, ab in found[num][1].items())
-            memo[word] = {spanning[m]: c for m, c in rel.items()}
+            memo[word] = {solved[m]: c for m, c in rel.items()}
+        # in lex order, so every word a relation reads is reduced already:
+        # x + r peels to the spanning words x + b of r's basis words b
+        for word, relation, suffix in derived:
+            spanned = {}
+            for other, c in relation:
+                x = other[0]
+                lower = self.reduce_word(other[1:] + suffix)
+                add_scaled(spanned, {(x,) + b: cb for b, cb in lower.items()},
+                           c)
+            out = {}
+            for w, c in spanned.items():
+                add_scaled(out, memo[w], c)
+            memo[word] = out
         return tuple(basis)
 
     def commutator(self, k: int, word: tuple) -> tuple:

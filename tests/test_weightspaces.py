@@ -30,7 +30,7 @@ def spanning(ws: WeightSpaces, weight: tuple) -> list:
     """(i, b) for each spanning word (i,) + b at `weight`, b a basis word
     one simple root lower, in lex order."""
     return [(i, low) for i in range(1, len(weight) + 1) if weight[i - 1]
-            for low in ws.basis_words(
+            for low in ws.space(
                 weight[:i - 1] + (weight[i - 1] - 1,) + weight[i:])]
 
 
@@ -41,7 +41,7 @@ def tables(family: str, rank: int) -> list:
     for weight in sorted(weights_up_to_height(rd, MAX_HEIGHT)):
         out.append({
             "weight": list(weight),
-            "basis": [list(w) for w in ws.basis_words(weight)],
+            "basis": [list(w) for w in ws.space(weight)],
             "coords": [[i, list(low),
                         [[list(w), c.to_json()] for w, c in
                          sorted(ws.reduce_word((i,) + low).items())]]
@@ -134,12 +134,19 @@ def test_dropped_independent_word_is_caught(monkeypatch, drop, reasons):
     assert {f.split(" at ")[0] for f in failures} == reasons
 
 
-@pytest.mark.parametrize("family,rank", TABLES)
-def test_lossy_support_is_caught(monkeypatch, family, rank):
+# a weight whose build solves a support of size at least 2: B3 has them
+# from height 4, G2 only from height 6, above the golden tables
+@pytest.mark.parametrize("family,rank,top", [
+    pytest.param("G", 2, (4, 2), id="G-2"),
+    pytest.param("B", 3, (1, 2, 1), id="B-3")])
+def test_lossy_support_is_caught(monkeypatch, family, rank, top):
     # the choice at the first point loses the last member of one support of
     # size at least 2, as a coefficient vanishing at v0 would; the basis on
     # the pivot keys is invertible, so the word is not in the span of what
     # is left, and the exact solve refuses the point
+    rd = build_root_data(family, rank)
+    want = WeightSpaces(rd)
+    want.space(top)
     choose = weightspaces._choose
     dropped = []
 
@@ -156,6 +163,10 @@ def test_lossy_support_is_caught(monkeypatch, family, rank):
     monkeypatch.setattr(weightspaces, "_choose", lossy)
     failures = _failures(monkeypatch)
     assert tables(family, rank) == _golden(family, rank)
+    got = WeightSpaces(rd)
+    got.space(top)
+    assert got._spaces == want._spaces
+    assert got._reduce_memo == want._reduce_memo
     assert dropped and len(failures) == len(dropped)
     assert {f.split(" at ")[0] for f in failures} == {
         "the exact solve disagrees"}
@@ -199,6 +210,65 @@ def test_solve_matches_full_elimination(monkeypatch, family, rank, top):
     for weight in weights:
         ws.space(weight)
     assert solved == [weightspaces.POINTS[0]] * (len(ws._spaces) - 1)
+
+
+@pytest.mark.parametrize("family,rank,height", [
+    ("A", 4, 6), ("B", 3, 6), ("C", 3, 6), ("D", 4, 6), ("F", 4, 6),
+    ("G", 2, 7),
+    pytest.param("A", 5, 7, marks=pytest.mark.slow),
+    pytest.param("E", 6, 6, marks=pytest.mark.slow)])
+def test_leading_words_match_the_full_solve(family, rank, height):
+    # the oracle finds no leading word, so it solves every spanning word;
+    # the tables agree, and the memo on every word the oracle writes (the
+    # build also memoizes the lower suffixes its relations reduce)
+    rd = build_root_data(family, rank)
+    fast, full = WeightSpaces(rd), WeightSpaces(rd)
+    full._serre = {}
+    for weight in weights_up_to_height(rd, height):
+        fast.space(weight)
+        full.space(weight)
+    assert fast._spaces == full._spaces
+    assert fast._ab == full._ab
+    for word, coords in full._reduce_memo.items():
+        assert fast._reduce_memo[word] == coords, word
+    # every relation short enough was read, its leading word checked
+    assert all(lead in full._reduce_memo for lead in fast._serre
+               if len(lead) <= height)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("G", 2)])
+def test_leading_words_are_not_solved(monkeypatch, family, rank):
+    # each build hands `_solve` exactly its spanning words that lead no
+    # Serre relation, and no leading word is a basis word of the full solve
+    rd = build_root_data(family, rank)
+    ws, full = WeightSpaces(rd), WeightSpaces(rd)
+    full._serre = {}
+    solve, build = weightspaces._solve, WeightSpaces._build
+    building, sizes = [], {}
+
+    def spy_build(self, weight, expected):
+        building.append(weight)
+        return build(self, weight, expected)
+
+    def spy_solve(vectors, v0):
+        sizes[building[-1]] = len(vectors)
+        return solve(vectors, v0)
+
+    monkeypatch.setattr(WeightSpaces, "_build", spy_build)
+    monkeypatch.setattr(weightspaces, "_solve", spy_solve)
+    weights = [w for w in weights_up_to_height(rd, 6) if any(w)]
+    for weight in weights:
+        ws.space(weight)
+    monkeypatch.undo()
+    derived = 0
+    for weight in weights:
+        words = [(i,) + low for i, low in spanning(ws, weight)]
+        leading = [w for w in words
+                   if any(w[:len(lead)] == lead for lead in ws._serre)]
+        assert not set(leading) & set(full.space(weight))
+        assert sizes[weight] == len(words) - len(leading)
+        derived += len(leading)
+    assert derived
 
 
 def test_build_checks_the_kostant_count(monkeypatch):
