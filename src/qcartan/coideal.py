@@ -1,15 +1,16 @@
 """Quantum symmetric pair coideal subalgebras and their Cartan elements.
 
-Builds the generators B_i = F_i + c_i theta_q(F_i K_i) K_i^{-1} + s_i K_i^{-1},
+Builds the generators B_i = F_i + theta_q(F_i K_i) K_i^{-1} + s_i K_i^{-1},
 the projection-completion algorithm (F_i -> B_i on each projection defect,
 by `Algebra.substitute`), membership testing, the lifts of the lower root
 vectors for all five structural cases, and the quantum Cartan elements H_j
 together with the full verification suite.
 
 Scalar conventions: theta_q(F_i K_i) is normalized so its lex-least word has
-coefficient 1, and the default parameters are c_i = 1, s_i = 0, which for
-pi_theta empty gives the generators B_i = F_i + E_{p(i)} K_i^{-1} used in the
-rank-one and rank-two worked examples.
+coefficient 1, and the parameters c_i of the paper are all 1.  The s_i
+default to 0, which for pi_theta empty gives the generators
+B_i = F_i + E_{p(i)} K_i^{-1} used in the rank-one and rank-two worked
+examples.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field
 from .classical import chevalley_matrices, matrix_root_vector, mmul
 from .involutions import Involution, ThetaSystem
 from .linalg import add_scaled, vec_ratio
-from .qfield import ONE, QRat, ZERO
-from .uqalgebra import Algebra, Element, _as_qrat, q_comm
+from .qfield import QRat, ZERO
+from .uqalgebra import Algebra, Element, q_comm
 
 
 @dataclass
@@ -29,7 +30,6 @@ class CoidealParams:
 
     involution: Involution
     algebra: Algebra = None
-    c: dict = field(default_factory=dict)
     s: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -37,23 +37,15 @@ class CoidealParams:
         if self.algebra is None:
             self.algebra = Algebra(inv.rd)
         for i in range(1, inv.rd.rank + 1):
-            if i in inv.pi_theta:
-                continue
-            self.c.setdefault(i, ONE)
-            self.s.setdefault(i, ZERO)
+            if i not in inv.pi_theta:
+                self.s.setdefault(i, ZERO)
         for i, val in self.s.items():
-            val = _as_qrat(val)
-            self.s[i] = val
+            val = self.s[i] = QRat.coerce(val)
             if val and i not in inv.s_subset:
                 raise ValueError(
                     "s_%d must vanish: alpha_%d is not in the S table" % (i, i))
-        for table in (self.c, self.s):
-            for i, val in table.items():
-                val = _as_qrat(val)
-                table[i] = val
-                if val and val.eval_at_one()[0] < 0:
-                    raise ValueError(
-                        "parameter at index %d has a pole at q = 1" % i)
+            if val and val.eval_at_one()[0] < 0:
+                raise ValueError("s_%d has a pole at q = 1" % i)
         self._B: dict = {}
         self._h_prime: dict = {}
 
@@ -89,8 +81,7 @@ class CoidealParams:
         if i in inv.pi_theta:
             out = alg.F(i)
         else:
-            out = alg.F(i) + \
-                (self.theta_q_FK(i) * alg.Ki(i, -1)).scale(self.c[i])
+            out = alg.F(i) + self.theta_q_FK(i) * alg.Ki(i, -1)
             if self.s[i]:
                 out = out + alg.Ki(i, -1).scale(self.s[i])
         self._B[i] = out

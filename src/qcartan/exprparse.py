@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 
 from .linalg import add_scaled
-from .qfield import QRat
+from .qfield import ZERO
 from .uqalgebra import Element, q_comm
 
 MAX_NESTING = 200
@@ -139,10 +139,7 @@ class Parser:
         k, v, pos = self.peek()
         if k == "GEN" and v not in ("T", "Tinv"):
             self.take()
-            idx = int(self.take("NUM")[1])
-            if v in ("Ki", "Ki-"):
-                return ("K1", idx, 1 if v == "Ki" else -1)
-            return ("gen", v, idx)
+            return ("gen", v, int(self.take("NUM")[1]))
         if k == "NAME" and v == "K":
             self.take()
             self.take("SYM", "[")
@@ -229,7 +226,7 @@ class Evaluator:
         alg = self.alg
         kind = node[0]
         if kind == "num":
-            return alg.scalar(QRat.from_fraction(node[1]))
+            return alg.scalar(node[1])
         if kind == "q":
             return alg.scalar(alg.q)
         if kind == "neg":
@@ -263,11 +260,11 @@ class Evaluator:
                 return alg.E(idx)
             if sym == "F":
                 return alg.F(idx)
+            if sym in ("Ki", "Ki-"):
+                return alg.Ki(idx, 1 if sym == "Ki" else -1)
             if self.params is None:
                 raise ValueError("B-generators need a symmetric pair session")
             return self.params.B(idx)
-        if kind == "K1":
-            return alg.Ki(node[1], node[2])
         if kind == "K":
             return alg.K(node[1])
         if kind == "comm":
@@ -283,21 +280,15 @@ class Evaluator:
             return alg.lusztig.apply(node[1], node[2], self.run(node[3]))
         if kind == "ad":
             arg = self.run(node[2])
-            gens = []
-            for g in node[1]:
-                if g[0] == "gen" and g[1] in "EF":
-                    gens.append((g[1], g[2]))
-                elif g[0] == "K1":
-                    gens.append(("K" if g[2] > 0 else "K-", g[1]))
-                else:
-                    raise ValueError("ad words take E/F/Ki generators")
-            return alg.ad_word(gens, arg)
+            if any(g[0] != "gen" or g[1] == "B" for g in node[1]):
+                raise ValueError("ad words take E/F/Ki generators")
+            return alg.ad_word([g[1:] for g in node[1]], arg)
         raise ValueError("unknown AST node %r" % (node,))
 
     def _as_scalar(self, x):
         terms = x.terms
         if not terms:
-            return QRat.from_int(0)
+            return ZERO
         if len(terms) != 1:
             raise ValueError("expected a scalar expression")
         (t, c), = terms.items()
@@ -330,8 +321,6 @@ def render_ast(node) -> str:
         return "%s^%d" % (_paren(node[1]), node[2])
     if kind == "gen":
         return "%s%d" % (node[1], node[2])
-    if kind == "K1":
-        return "Ki%s%d" % ("-" if node[2] < 0 else "", node[1])
     if kind == "K":
         return "K[%s]" % ",".join(str(c) for c in node[1])
     if kind == "comm":

@@ -203,13 +203,16 @@ class QRat:
 
     # construction -----------------------------------------------------
     @staticmethod
-    def from_int(k: int) -> "QRat":
-        return QRat((k,))
-
-    @staticmethod
-    def from_fraction(x) -> "QRat":
-        x = Fraction(x)
-        return QRat((x.numerator,), (x.denominator,))
+    def coerce(c) -> "QRat":
+        """The coefficient c: a QRat as it is, an int or Fraction as a
+        constant; anything else raises TypeError."""
+        if isinstance(c, QRat):
+            return c
+        if isinstance(c, int):
+            return QRat((c,))
+        if isinstance(c, Fraction):
+            return QRat((c.numerator,), (c.denominator,))
+        raise TypeError("cannot coerce %r to a coefficient" % (c,))
 
     # predicates ---------------------------------------------------------
     def is_zero(self) -> bool:

@@ -38,16 +38,6 @@ from .weightspaces import WeightSpaces
 Term = tuple  # (f_word, k_exp, e_word)
 
 
-def _as_qrat(c) -> QRat:
-    if isinstance(c, QRat):
-        return c
-    if isinstance(c, int):
-        return QRat.from_int(c)
-    if isinstance(c, Fraction):
-        return QRat.from_fraction(c)
-    raise TypeError("cannot coerce %r to a coefficient" % (c,))
-
-
 class Element:
     """A U_q(g) element in canonical triangular form."""
 
@@ -68,7 +58,7 @@ class Element:
         return self + (-other)
 
     def scale(self, c) -> "Element":
-        c = _as_qrat(c)
+        c = QRat.coerce(c)
         if not c:
             return self.alg.zero()
         return Element(self.alg, {t: v * c for t, v in self.terms.items()})
@@ -143,7 +133,7 @@ class Algebra:
         return self.scalar(ONE)
 
     def scalar(self, c) -> Element:
-        c = _as_qrat(c)
+        c = QRat.coerce(c)
         if not c:
             return self.zero()
         return Element(self, {((), self.rd.zero(), ()): c})
@@ -256,15 +246,15 @@ class Algebra:
 
     def ad_word(self, gens, a: Element) -> Element:
         """(ad g_1 g_2 ... g_m) a, rightmost generator acting first; each
-        g is ("E"|"F"|"K"|"K-", i)."""
+        g is ("E"|"F"|"Ki"|"Ki-", i), the expression language's symbols."""
         for kind, i in reversed(list(gens)):
             if kind == "E":
                 a = self.ad_E(i, a)
             elif kind == "F":
                 a = self.ad_F(i, a)
-            elif kind in ("K", "K-"):
+            elif kind in ("Ki", "Ki-"):
                 a = self.conjugate_K(a, self.rd.simple(i),
-                                     +1 if kind == "K" else -1)
+                                     +1 if kind == "Ki" else -1)
             else:
                 raise ValueError("unknown adjoint generator %r"
                                  % ((kind, i),))
@@ -383,7 +373,7 @@ class Algebra:
             # a zero column's own coefficient is the int 1
             x: dict = {}
             for idx, c in combo.items():
-                add_scaled(x, vectors[idx].terms, _as_qrat(c))
+                add_scaled(x, vectors[idx].terms, QRat.coerce(c))
             out.append(self.lex_normalize(Element(self, x)))
         return out
 
@@ -506,7 +496,7 @@ class Algebra:
                 w = 1
                 for ei, mi in zip(e, exps):
                     w *= comb(mi, ei)
-                _accumulate(coeffs, tuple(e), c * _as_qrat(w))
+                _accumulate(coeffs, tuple(e), c * QRat.coerce(w))
         for e, g in coeffs.items():
             if g and g.eval_at_one()[0] < -sum(e):
                 return False

@@ -24,6 +24,12 @@ is stored once, in one of three flat tables:
   word reduces by peeling letters from the left; `reduce_word` writes the
   words it reduces.
 
+All three are seeded with the zero weight, whose one basis word is the
+empty word, so no weight is a special case of `_build`.  One step,
+`_times`, multiplies basis coordinates by a generator F_x, reading each
+F_x b from `_reduce_memo`: the commutator vectors, the Serre-derived words
+and the peel of `reduce_word` all go through it.
+
 A spanning word that begins with the leading (lex-largest) word of a
 quantum Serre relation, j i^m for i < j or i^m j for i > j with
 m = 1 - a_ij, is never a basis word: the relation, followed by the rest of
@@ -171,10 +177,11 @@ class WeightSpaces:
 
     def __init__(self, rd: RootData):
         self.rd = rd
-        self._spaces: dict[tuple, tuple] = {}
-        self._ab: dict[tuple, tuple] = {}
-        self._reduce_memo: dict[tuple, dict] = {
-            w: {w: ONE} for w in [()] + [(i,) for i in range(1, rd.rank + 1)]}
+        # the zero weight, spanned by the empty word, is never built
+        self._spaces: dict[tuple, tuple] = {rd.zero(): ((),)}
+        self._ab: dict[tuple, tuple] = {
+            (k, ()): ({}, {}) for k in range(1, rd.rank + 1)}
+        self._reduce_memo: dict[tuple, dict] = {(): {(): ONE}}
         self._qafac = [None] + [
             (q_power(rd.d[i]) - q_power(-rd.d[i])).inverse()
             for i in range(rd.rank)]
@@ -238,10 +245,6 @@ class WeightSpaces:
         solved."""
         rd = self.rd
         n = rd.rank
-        if not any(weight):
-            self._ab.update(((k, ()), ({}, {})) for k in range(1, n + 1))
-            return ((),)
-
         # i -> coefficient of the K_i term of [E_i, F_i y] for y of weight
         # `weight - alpha_i`; the spanning words come out in lex order
         lowers = {}
@@ -252,7 +255,6 @@ class WeightSpaces:
                 lowers[i] = self._qafac[i] * q_power(
                     -rd.inner(rd.simple(i), low))
                 spanning.extend((i,) + b for b in self._spaces[low])
-        memo = self._reduce_memo
 
         # a spanning word that starts with a Serre relation's leading word
         # is read off that relation; the rest are solved
@@ -278,12 +280,8 @@ class WeightSpaces:
                     continue
                 a_b, b_b = self._ab[k, b]     # b's space is built
                 # F_i * (lower A/B parts), pushed into basis coords of wk
-                av, bv = {}, {}
-                for lw, c in a_b.items():
-                    add_scaled(av, memo[(i,) + lw], c)
-                fac = self._qpair[k, i]
-                for lw, c in b_b.items():
-                    add_scaled(bv, memo[(i,) + lw], c * fac)
+                av = self._times(i, a_b)
+                bv = self._times(i, b_b, self._qpair[k, i])
                 if k == i:
                     add_scaled(av, {b: lowers[i]})
                     add_scaled(bv, {b: -self._qafac[k]})
@@ -318,21 +316,25 @@ class WeightSpaces:
                 rel = {num: ONE}
                 self._ab.update(((k, word), ab)
                                 for k, ab in found[num][1].items())
-            memo[word] = {solved[m]: c for m, c in rel.items()}
+            self._reduce_memo[word] = {solved[m]: c for m, c in rel.items()}
         # in lex order, so every word a relation reads is reduced already:
-        # x + r peels to the spanning words x + b of r's basis words b
+        # each of its words x + r is F_x times the coordinates of r
         for word, relation, suffix in derived:
-            spanned = {}
-            for other, c in relation:
-                x = other[0]
-                lower = self.reduce_word(other[1:] + suffix)
-                add_scaled(spanned, {(x,) + b: cb for b, cb in lower.items()},
-                           c)
             out = {}
-            for w, c in spanned.items():
-                add_scaled(out, memo[w], c)
-            memo[word] = out
+            for other, c in relation:
+                add_scaled(out, self._times(
+                    other[0], self.reduce_word(other[1:] + suffix)), c)
+            self._reduce_memo[word] = out
         return tuple(basis)
+
+    def _times(self, x: int, coords: dict, scale=ONE) -> dict:
+        """scale * F_x * coords, from basis coordinates at some weight to
+        basis coordinates one alpha_x higher, reading each F_x b from
+        `_reduce_memo`: the tables' one generator-times-coordinates step."""
+        out = {}
+        for b, c in coords.items():
+            add_scaled(out, self._reduce_memo[(x,) + b], c * scale)
+        return out
 
     def commutator(self, k: int, word: tuple) -> tuple:
         """(A, B) with [E_k, F_w] = A K_k + K_k^{-1} B for a basis word w, in
@@ -360,10 +362,7 @@ class WeightSpaces:
             k += 1
         out = memo[word[k:]]
         for i in range(k - 1, -1, -1):
-            rest, out = out, {}
-            for b, c in rest.items():
-                add_scaled(out, memo[(word[i],) + b], c)
-            memo[word[i:]] = out
+            out = memo[word[i:]] = self._times(word[i], out)
         return out
 
     def word_weight(self, word: tuple) -> tuple:

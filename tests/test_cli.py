@@ -43,7 +43,7 @@ def _random_ast(rng, depth=3):
             ("num", Fraction(rng.randint(1, 5), rng.randint(1, 3))),
             ("q",),
             ("gen", rng.choice("EF"), rng.randint(1, 2)),
-            ("K1", rng.randint(1, 2), rng.choice([1, -1])),
+            ("gen", rng.choice(["Ki", "Ki-"]), rng.randint(1, 2)),
             ("K", (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))),
         ])
     kind = rng.choice(["sum", "prod", "comm", "func", "pow", "ad"])
@@ -332,6 +332,24 @@ def test_alias_runs_as_its_family(capsys, n):
 def test_verify_suite_aiv(capsys):
     rc, _ = run(["verify", "suite", "--pair", "AIV", "--n", "2"], capsys)
     assert rc == 0
+
+
+SHALLOW_CHECKS = ["generator_relations", "h_prime_pairwise_commute",
+                  "h_prime_commute_with_torus", "projection_in_torus_span",
+                  "lowest_component_is_w", "specialization"]
+
+
+def test_verify_suite_shallow(capsys):
+    # --shallow runs the six checks that need no per-root Cartan element
+    args = ["verify", "suite", "--pair", "AIII", "--n", "3", "--shallow"]
+    rc, out = run(args, capsys)
+    assert rc == 0
+    assert out.split() == ["cartan_suite"] + [
+        word for name in SHALLOW_CHECKS for word in (name, "pass")]
+    rc, out = run(args + ["--json"], capsys)
+    assert rc == 0
+    assert json.loads(out) == {
+        "cartan_suite": {name: True for name in SHALLOW_CHECKS}}
 
 
 def test_usage_error_exit_code():

@@ -60,6 +60,8 @@ def test_generators():
         alg.Ki(2, -1).scale(sigma)
     with pytest.raises(ValueError):
         shared_params("AIII", 3, 2, s={1: ONE})
+    with pytest.raises(ValueError, match="pole at q = 1"):
+        shared_params("AIII", 3, 2, s={2: (qvar() - ONE).inverse()})
 
 
 def test_q_commutator(a2):
@@ -347,7 +349,7 @@ def test_cartan_element_case1():
     assert rep.H == par.B(2)
     assert rep.X == alg.E(2) * alg.Ki(2, -1)
     assert rep.C.is_zero()
-    assert rep.s_scalar == QRat.from_int(0)
+    assert rep.s_scalar == QRat.coerce(0)
     assert rep.ok(), rep.checks
     # with the s parameter switched on, H = B_2 - s_2
     sigma = qvar()

@@ -196,12 +196,22 @@ def test_q_int_symmetry():
         assert q_int(m).substitute_inverse() == q_int(m)
 
 
+def test_coerce_takes_qrat_int_and_fraction():
+    x = qvar() + ONE
+    assert QRat.coerce(x) is x
+    assert QRat.coerce(-3) == QRat((-3,))
+    assert QRat.coerce(Fraction(2, -6)) == QRat((-1,), (3,))
+    for bad in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            QRat.coerce(bad)
+
+
 def test_untrimmed_input_is_trimmed():
     a = QRat((1, 0, 0), (2, 0))
     assert a == QRat((1,), (2,))
     assert (a.num, a.den) == ((1,), (2,))
     assert QRat([0, 3, 0], [0, 6]) == QRat((1,), (2,))
-    assert QRat.from_int(0) == ZERO
+    assert QRat.coerce(0) == ZERO
     assert (ZERO.num, ZERO.den) == ((), (1,))
     assert QRat((0, 0), (5,)) == ZERO
 

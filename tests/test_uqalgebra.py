@@ -184,7 +184,7 @@ def test_reduction_against_naive_oracle():
 
 def test_ad_action(a2):
     q = a2.q
-    assert a2.ad_word([("K", 1)], a2.F(2)) == a2.F(2).scale(q)
+    assert a2.ad_word([("Ki", 1)], a2.F(2)) == a2.F(2).scale(q)
     lamw = (2, 1)
     coef = ONE - q_power(a2.rd.inner(a2.rd.weight(lamw), a2.rd.simple(1)))
     lhs = a2.ad_F(1, a2.K(tuple(-x for x in lamw)))
@@ -198,7 +198,7 @@ def test_ad_counit_characterizes_commutant(a2):
     # (ad E_i)a = 0, (ad F_i)a = 0, (ad K_i)a = a  iff  a commutes with all
     x = a2.K((1, -1)) * a2.K((-1, 1))  # the identity
     assert a2.ad_E(1, x).is_zero() and a2.ad_F(1, x).is_zero()
-    assert a2.ad_word([("K", 1)], x) == x
+    assert a2.ad_word([("Ki", 1)], x) == x
 
 
 def test_biweight_components(a2):
@@ -473,7 +473,7 @@ def _oracle_factor(alg, rng):
     terms = {}
     for _ in range(rng.randint(1, 3)):
         term = {((), alg.rd.zero(), ()): q_power(rng.randint(-2, 2))
-                * QRat.from_int(rng.choice([1, -1, 2, 3]))}
+                * QRat.coerce(rng.choice([1, -1, 2, 3]))}
         letters = [alg.F(rng.randint(1, n)) for _ in range(rng.randint(0, 2))]
         if rng.random() < 0.5:
             letters.append(alg.Ki(rng.randint(1, n), rng.choice([1, -1])))
@@ -510,7 +510,7 @@ def _shared_prefix_factor(alg, rng, pool):
     n = alg.rd.rank
     return {(rng.choice(pool), tuple(rng.randint(-1, 1) for _ in range(n)),
              rng.choice(pool)):
-            q_power(rng.randint(-2, 2)) * QRat.from_int(rng.choice([1, -2, 3]))
+            q_power(rng.randint(-2, 2)) * QRat.coerce(rng.choice([1, -2, 3]))
             for _ in range(rng.randint(3, 6))}
 
 

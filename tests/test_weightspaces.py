@@ -299,7 +299,28 @@ def test_negative_weight_is_refused():
     ws = WeightSpaces(build_root_data("A", 2))
     with pytest.raises(ValueError):
         ws.space((1, -1))
-    assert not ws._spaces
+    assert ws._spaces == {(0, 0): ((),)}
+
+
+def test_zero_weight_is_seeded_not_built(monkeypatch):
+    # a fresh session already holds the zero weight: its basis word, its
+    # commutator pair and its coordinates; no build is asked for it
+    ws = WeightSpaces(build_root_data("B", 2))
+    assert ws._spaces == {(0, 0): ((),)}
+    assert ws._ab == {(1, ()): ({}, {}), (2, ()): ({}, {})}
+    assert ws._reduce_memo == {(): {(): ONE}}
+    build = WeightSpaces._build
+    built = []
+
+    def spy_build(self, weight, expected):
+        built.append(weight)
+        return build(self, weight, expected)
+
+    monkeypatch.setattr(WeightSpaces, "_build", spy_build)
+    assert ws.space((0, 0)) == ((),)
+    ws.space((2, 3))
+    assert (0, 0) not in built
+    assert sorted(built) == sorted(w for w in ws._spaces if any(w))
 
 
 def test_high_weight_builds_without_recursion():
