@@ -16,57 +16,31 @@ from .involutions import (PAIR_LABELS, build_involution,
 from .uqalgebra import Algebra
 
 
-def _session_args(p: argparse.ArgumentParser):
-    p.add_argument("--pair", choices=sorted(PAIR_LABELS),
-                   help="symmetric pair label")
+def _session_args(p: argparse.ArgumentParser, plain: bool = False):
+    """--pair (required unless `plain`), --n, --r and --json; with `plain`
+    a plain root system (--family with --rank) may stand in for --pair."""
+    where = p.add_mutually_exclusive_group() if plain else p
+    where.add_argument("--pair", choices=sorted(PAIR_LABELS),
+                       required=not plain, help="symmetric pair label")
+    if plain:
+        where.add_argument("--family", help="plain root-system family A..G")
+        p.add_argument("--rank", type=int, help="plain root-system rank")
     p.add_argument("--n", type=int, help="rank")
     p.add_argument("--r", type=int, help="pair parameter r, when applicable")
-    p.add_argument("--family", help="plain root-system family A..G")
-    p.add_argument("--rank", type=int, help="plain root-system rank")
-    p.add_argument("--config", help="key=value config file")
     p.add_argument("--json", action="store_true", help="emit JSON")
 
 
-def _load_config(ns):
-    if not ns.config:
-        return
-    try:
-        with open(ns.config) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ValueError("cannot read config file: %s" % exc) from None
-    for num, line in enumerate(lines, start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if not eq:
-            raise ValueError("config line %d: expected key = value" % num)
-        if key in ("pair", "family"):
-            setattr(ns, key, val)
-        elif key in ("n", "r", "rank"):
-            try:
-                setattr(ns, key, int(val))
-            except ValueError:
-                raise ValueError("config line %d: %s needs an integer, "
-                                 "got %r" % (num, key, val)) from None
-        else:
-            raise ValueError("config line %d: unknown key %r" % (num, key))
-
-
-def _params(ns) -> CoidealParams | None:
-    if not ns.pair:
-        return None
+def _params(ns) -> CoidealParams:
     return CoidealParams(build_involution(ns.pair, ns.n, ns.r))
 
 
 def _algebra(ns) -> tuple[Algebra, CoidealParams | None]:
-    par = _params(ns)
-    if par is not None:
+    if ns.pair and ns.rank is None:
+        par = _params(ns)
         return par.algebra, par
-    if not ns.family or not ns.rank:
-        raise ValueError("need --pair/--n or --family/--rank")
+    if ns.family is None or ns.rank is None or ns.n is not None \
+            or ns.r is not None:
+        raise ValueError("give --pair with --n/--r, or --family with --rank")
     return Algebra(ns.family, ns.rank), None
 
 
@@ -139,8 +113,6 @@ def cmd_classical_cartan(ns) -> int:
 
 
 def cmd_cartan(ns) -> int:
-    if not ns.pair:
-        raise ValueError("cartan needs --pair")
     ts = gamma_theta(ns.pair, ns.n, ns.r)
     par = CoidealParams(ts.involution)
     if ns.j is not None and not ts.entries:
@@ -170,8 +142,6 @@ def cmd_cartan(ns) -> int:
 
 def cmd_member(ns) -> int:
     par = _params(ns)
-    if par is None:
-        raise ValueError("member needs --pair")
     val = Evaluator(par.algebra, par).run(parse_expr(ns.expr))
     inside = par.membership(val)
     if ns.json:
@@ -222,12 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("normal-form", help="canonical form of an expression")
-    _session_args(p)
+    _session_args(p, plain=True)
     p.add_argument("--expr", required=True)
     p.set_defaults(func=cmd_normal_form)
 
     p = sub.add_parser("equal", help="decide equality of two expressions")
-    _session_args(p)
+    _session_args(p, plain=True)
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.set_defaults(func=cmd_equal)
@@ -264,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        _load_config(ns)
         if ns.pair == "AIII" and ns.r is None and ns.n:
             ns.r = (ns.n + 1) // 2    # the pi_theta-empty member of the family
         return ns.func(ns)

@@ -36,11 +36,11 @@ class CoidealParams:
         inv = self.involution
         if self.algebra is None:
             self.algebra = Algebra(inv.rd)
+        self.s = {i: QRat.coerce(val) for i, val in self.s.items()}
         for i in range(1, inv.rd.rank + 1):
             if i not in inv.pi_theta:
                 self.s.setdefault(i, ZERO)
         for i, val in self.s.items():
-            val = self.s[i] = QRat.coerce(val)
             if val and i not in inv.s_subset:
                 raise ValueError(
                     "s_%d must vanish: alpha_%d is not in the S table" % (i, i))

@@ -401,13 +401,10 @@ def gauss_binomial(m: int, k: int, d: int = 1) -> QRat:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _monomial_str(coef: int, power: int, sym: str) -> str:
+def _monomial_str(coef: int, power: int) -> str:
     if power == 0:
         return str(coef)
-    if power == 1:
-        head = sym
-    else:
-        head = "%s^%d" % (sym, power)
+    head = "q" if power == 1 else "q^%d" % power
     if coef == 1:
         return head
     if coef == -1:
@@ -415,11 +412,9 @@ def _monomial_str(coef: int, power: int, sym: str) -> str:
     return "%d*%s" % (coef, head)
 
 
-def _poly_str(p: tuple, shift: int, sym: str) -> str:
-    terms = []
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            terms.append(_monomial_str(p[i], i + shift, sym))
+def signed_sum(terms: list) -> str:
+    """Join rendered terms with " + ", or " - " before a term that starts
+    with "-"; no terms give "0"."""
     if not terms:
         return "0"
     out = terms[0]
@@ -437,8 +432,8 @@ def format_qrat(x: QRat) -> str:
     nz = next(i for i, c in enumerate(den) if c)
 
     def render(p, shift):
-        lo = next(i for i, c in enumerate(p) if c)
-        return _poly_str(p[lo:], lo + shift, "q")
+        return signed_sum([_monomial_str(p[i], i + shift)
+                           for i in range(len(p) - 1, -1, -1) if p[i]])
 
     top = render(num, -nz)
     bot = render(den[nz:], 0)

@@ -31,7 +31,7 @@ from itertools import product
 
 from .linalg import Echelon, _accumulate, add_scaled, kernel_basis
 from .qfield import (MEMO_BOUND, ONE, QRat, clear_memos, format_qrat,
-                     q_factorial, q_power)
+                     q_factorial, q_power, signed_sum)
 from .rootsys import RootData, build_root_data, weights_below
 from .weightspaces import WeightSpaces
 
@@ -443,8 +443,6 @@ class Algebra:
         return s if s else "1"
 
     def render(self, a: Element) -> str:
-        if a.is_zero():
-            return "0"
         bits = []
         for t, c in a.sorted_terms():
             coef = format_qrat(c)
@@ -460,10 +458,7 @@ class Algebra:
                     coef = "(%s)" % coef
                 piece = "%s %s" % (coef, mono)
             bits.append(piece)
-        out = bits[0]
-        for b in bits[1:]:
-            out += " - " + b[1:] if b.startswith("-") else " + " + b
-        return out
+        return signed_sum(bits)
 
     # -- specialization ---------------------------------------------------------
     def in_integral_form(self, a: Element) -> bool:

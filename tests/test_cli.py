@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import sys
@@ -364,42 +365,29 @@ def test_bad_expression_exit_code(capsys):
     assert rc == 2
 
 
-def test_config_file(tmp_path, capsys):
-    cfg = tmp_path / "session.cfg"
-    cfg.write_text("pair = AIII\nn = 2\nr = 1\n")
-    rc, _ = run(["member", "--config", str(cfg), "--expr", "B1"], capsys)
-    assert rc == 0
-
-
-@pytest.mark.parametrize("text", [
-    "n = two\n",                   # not an integer
-    "pair = AIII\nN = 1\n",        # unknown key (q = v^N is gone)
-    "pair = AIII\ncolour = red\n",  # unknown key
-    "pair = AIII\nn 2\n",          # no '='
-])
-def test_bad_config_exit_code(tmp_path, capsys, text):
-    cfg = tmp_path / "session.cfg"
-    cfg.write_text(text)
-    rc = main(["member", "--config", str(cfg), "--expr", "B1"])
-    assert rc == 2
-    assert "config line" in capsys.readouterr().err
-
-
-def test_missing_config_exit_code(tmp_path, capsys):
-    rc = main(["member", "--config", str(tmp_path / "absent.cfg"),
-               "--expr", "B1"])
-    assert rc == 2
-    assert "cannot read config file" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("args", [
     ["normal-form", "--expr", "E1"],
-    ["cartan", "--family", "A", "--rank", "2"],
-    ["member", "--family", "A", "--rank", "2", "--expr", "E1"],
+    ["equal", "--lhs", "E1", "--rhs", "E1"],
+    ["normal-form", "--family", "A", "--expr", "E1"],
+    ["normal-form", "--rank", "2", "--expr", "E1"],
+    # --n/--r go with --pair, --rank with --family
+    ["normal-form", "--pair", "AIII", "--n", "2", "--rank", "2",
+     "--expr", "E1"],
+    ["normal-form", "--family", "A", "--rank", "2", "--n", "2",
+     "--expr", "E1"],
+    ["equal", "--family", "A", "--rank", "2", "--r", "1",
+     "--lhs", "E1", "--rhs", "E1"],
 ])
 def test_missing_session_exit_code(capsys, args):
     assert main(args) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "error: give --pair with --n/--r, or --family with --rank\n"
+
+
+def test_rank_zero_is_an_invalid_type(capsys):
+    assert main(["normal-form", "--family", "A", "--rank", "0",
+                 "--expr", "1"]) == 2
+    assert capsys.readouterr().err == "error: invalid type A0\n"
 
 
 @pytest.mark.parametrize("j", ["0", "2"])
@@ -409,16 +397,70 @@ def test_cartan_index_out_of_range_exit_code(capsys, j):
     assert "--j must lie in 1..1" in capsys.readouterr().err
 
 
+PAIR_COMMANDS = {"theta-system": [], "classical-cartan": [], "cartan": [],
+                 "member": ["--expr", "B1"], "verify": ["all"]}
+EXPR_COMMANDS = {"normal-form": ["--expr", "E1"],
+                 "equal": ["--lhs", "E1", "--rhs", "E1"]}
+PAIR_SESSION = {"--pair", "--n", "--r", "--json"}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {s for a in p._actions
+                  if not isinstance(a, argparse._HelpAction)
+                  for s in a.option_strings or [a.dest]}
+           for name, p in sub.choices.items()}
+    plain = PAIR_SESSION | {"--family", "--rank"}
+    assert got == {
+        "normal-form": plain | {"--expr"},
+        "equal": plain | {"--lhs", "--rhs"},
+        "theta-system": PAIR_SESSION,
+        "classical-cartan": PAIR_SESSION,
+        "cartan": PAIR_SESSION | {"--j"},
+        "member": PAIR_SESSION | {"--expr"},
+        "verify": PAIR_SESSION | {"what", "--shallow"},
+    }
+    assert sum(map(len, got.values())) == 39
+
+
+def _usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    got = capsys.readouterr()
+    assert got.out == "" and "usage:" in got.err
+
+
 @pytest.mark.parametrize("args", [
     ["normal-form", "--family", "A", "--rank", "2", "--N", "2",
      "--expr", "E1"],
     ["cartan", "--pair", "AIII", "--n", "2", "--verify"],
     ["classical-cartan", "--pair", "AI", "--n", "2", "--verify"],
+    # a pair command takes no plain root system
+    *([cmd, "--pair", "AIII", "--n", "2", *extra, *rest]
+      for cmd, rest in PAIR_COMMANDS.items()
+      for extra in (["--family", "B", "--rank", "2"], ["--family", "B"],
+                    ["--rank", "2"])),
+    # and needs --pair
+    *([cmd, *session, *rest] for cmd, rest in PAIR_COMMANDS.items()
+      for session in ([], ["--family", "A", "--rank", "2"], ["--n", "2"])),
+    # --pair and --family exclude each other
+    *([cmd, "--pair", "AIII", "--n", "2", "--family", "G", "--rank", "2",
+       *rest] for cmd, rest in EXPR_COMMANDS.items()),
 ])
-def test_removed_options_are_usage_errors(args):
-    with pytest.raises(SystemExit) as exc:
-        main(args)
-    assert exc.value.code == 2
+def test_removed_options_are_usage_errors(capsys, args):
+    _usage_error(args, capsys)
+
+
+@pytest.mark.parametrize("command, args", [
+    *PAIR_COMMANDS.items(), *EXPR_COMMANDS.items()])
+def test_config_file_is_a_usage_error(tmp_path, capsys, command, args):
+    # a valid file of the removed key = value format, which --pair replaces
+    cfg = tmp_path / "session.cfg"
+    cfg.write_text("pair = AIII\nn = 2\nr = 1\n")
+    _usage_error([command, "--pair", "AIII", "--config", str(cfg)] + args,
+                 capsys)
 
 
 @pytest.mark.parametrize("expr", ["K[1/2,0] E2", "E2 K[1/2,0]"])

@@ -64,6 +64,47 @@ def test_generators():
         shared_params("AIII", 3, 2, s={2: (qvar() - ONE).inverse()})
 
 
+@pytest.mark.parametrize("s, raises", [
+    ({2: 3}, False),
+    ({1: 5}, True),         # alpha_1 is not in the S table of AIII(3,2)
+])
+def test_params_leave_the_callers_s_alone(s, raises):
+    # the session keeps its own coerced copy, with the zero defaults filled
+    # in; the dict handed in is neither coerced nor extended, even on error
+    given = dict(s)
+    inv = build_involution("AIII", 3, 2)
+    if raises:
+        with pytest.raises(ValueError):
+            CoidealParams(inv, shared_params("AIII", 3, 2).algebra, s=s)
+    else:
+        par = CoidealParams(inv, shared_params("AIII", 3, 2).algebra, s=s)
+        assert par.s == {1: QRat.coerce(0), 2: QRat.coerce(3),
+                         3: QRat.coerce(0)}
+    assert s == given
+    assert all(type(v) is int for v in s.values())
+
+
+@pytest.mark.parametrize("pair, n, r", [
+    ("AIII", 4, 1), ("AII", 5, None), ("BI", 3, 1), ("BI", 4, 2),
+    ("CII-1", 3, 2), ("CII-2", 4, None), ("DI-1", 4, 2), ("DIII-1", 4, None),
+    ("DIII-2", 5, None)])
+def test_theta_q_image_is_the_braid_image(pair, n, r):
+    # an independent route to theta_q(F_i K_i): Lusztig's T_{w_X} applied to
+    # E_{p(i)}, w_X the longest element of the Weyl group of pi_theta,
+    # against the highest-weight vector of (ad M)E_{p(i)} that theta_q_FK
+    # finds by ad-span and ad-kernel; both normalised with lex-least
+    # coefficient 1 (FII and the E types are left out: T_{w_X} is slower
+    # there than the ad-span route)
+    par = shared_params(pair, n, r)
+    inv, alg = par.involution, par.algebra
+    w_x = alg.rd.longest_word(tuple(sorted(inv.pi_theta)))
+    outside = [i for i in range(1, alg.rd.rank + 1) if i not in inv.pi_theta]
+    assert outside
+    for i in outside:
+        braid = alg.lusztig.apply_word(w_x, alg.E(inv.p[i - 1]))
+        assert par.theta_q_FK(i) == alg.lex_normalize(braid)
+
+
 def test_q_commutator(a2):
     q = a2.q
     assert q_comm(a2.E(1), a2.F(1), ONE) == \
