@@ -52,26 +52,15 @@ class CoidealParams:
     # -- theta_q on the F_i K_i generators ---------------------------------
     def theta_q_FK(self, i: int) -> Element:
         """Highest-weight vector of the (ad M)-module generated by E_{p(i)},
-        at weight theta(-alpha_i), normalized with lex-least coefficient 1."""
+        at weight theta(-alpha_i) = w_X(alpha_{p(i)}), normalized with
+        lex-least coefficient 1: the ad-E walk from the lowest-weight
+        vector E_{p(i)} along a reduced word of w_X."""
         inv, alg = self.involution, self.algebra
-        rd = alg.rd
         if i in inv.pi_theta:
             raise ValueError("theta_q(F_i K_i) is built for alpha_i "
                              "outside pi_theta")
-        pi = inv.p[i - 1]
-        target = tuple(-c for c in inv.apply(rd.simple(i)))
-        rest = tuple(t - s for t, s in zip(target, rd.simple(pi)))
-        # (ad E-words) E_{p(i)} at the target weight; since
-        # theta(alpha_i) = -w_X(alpha_{p(i)}), Supp(rest) lies inside
-        # pi_theta (rest = 0: w_X fixes alpha_{p(i)}, each ad E_j kills
-        # E_{p(i)}, and the kernel is E_{p(i)} itself)
-        kerns = alg.ad_kernel(alg.ad_span("+", rest, alg.E(pi)),
-                              sorted(inv.pi_theta))
-        if len(kerns) != 1:
-            raise AssertionError(
-                "highest-weight space of (ad M)E_%d is %d-dimensional"
-                % (pi, len(kerns)))
-        return kerns[0]
+        word = alg.rd.longest_word(inv.pi_theta)
+        return alg.lex_normalize(alg.ad_walk("+", alg.E(inv.p[i - 1]), word))
 
     # -- generators -----------------------------------------------------------
     def B(self, i: int) -> Element:
@@ -88,18 +77,12 @@ class CoidealParams:
         return out
 
     def t_theta_generators(self) -> list[Element]:
-        """Generators of the theta-fixed torus T_theta."""
-        inv, alg = self.involution, self.algebra
-        out = []
-        for i in range(1, inv.rd.rank + 1):
-            if i in inv.pi_theta:
-                out.append(alg.Ki(i))
-            elif i <= inv.p[i - 1]:
-                mu = tuple(a + b for a, b in
-                           zip(alg.rd.simple(i), inv.apply(alg.rd.simple(i))))
-                if any(mu):     # theta(alpha_i) = -alpha_i gives K_0 = 1
-                    out.append(alg.K(mu))
-        return out
+        """Generators of the theta-fixed torus T_theta: K_mu with
+        mu = sum c_i alpha_i for each combination {i: c_i} of h_theta."""
+        alg = self.algebra
+        rank = alg.rd.rank
+        return [alg.K(tuple(span.get(i, 0) for i in range(1, rank + 1)))
+                for span in self.involution.h_theta]
 
     # -- completion against the projection -------------------------------------
     def project(self, x: Element) -> Element:
@@ -148,53 +131,45 @@ class CoidealParams:
         entry = ts.entries[j - 1]
         beta, case = entry.beta, entry.case
         ab, abp = entry.alpha_beta, entry.alpha_beta_prime
-        supp = sorted(rd.support(beta))
         if case == 1:
             return alg.F(ab)
         if case == 2:
-            subset = tuple(s for s in supp if s != ab)
-            basis = alg.centralizer_basis(beta, subset)
-            if len(basis) != 1:
-                raise AssertionError(
-                    "centralizer at beta_%d is %d-dimensional" % (j, len(basis)))
-            return basis[0]
+            return self._centralizer_line(beta, ab)
+        k_minus_beta = alg.K(tuple(-c for c in beta))
         if case == 3:
-            word = rd.longest_word(tuple(s for s in supp if s != ab))
-            y = alg.lusztig.apply_word(word, alg.F(ab), direction=-1)
-            return alg.lex_normalize(y)
-        if case == 4:
+            # beta = w(alpha_beta), w the longest element on Supp beta - ab
+            word = rd.longest_word(rd.support(beta) - {ab})
+            y = alg.ad_walk("-", alg.F(ab) * alg.Ki(ab), word) * k_minus_beta
+        elif case == 4:
             y = self._ad_F_chain(alg.F(ab), beta, ab, abp)
-            return alg.lex_normalize(y)
-        if case == 5:
+        elif case == 5:
             beta_p = tuple(b - c for b, c in zip(beta, rd.simple(abp)))
-            subset = tuple(s for s in sorted(rd.support(beta_p)) if s != ab)
-            basis = alg.centralizer_basis(beta_p, subset)
-            if len(basis) != 1:
-                raise AssertionError("case-5 inner centralizer not a line")
-            y = alg.ad_F(abp, basis[0] * alg.K(beta_p))
-            y = y * alg.K(tuple(-c for c in beta))
-            return alg.lex_normalize(y)
-        raise ValueError("unknown case tag %r" % case)
+            y = alg.ad_F(abp, self._centralizer_line(beta_p, ab)
+                         * alg.K(beta_p)) * k_minus_beta
+        else:
+            raise ValueError("unknown case tag %r" % case)
+        return alg.lex_normalize(y)
+
+    def _centralizer_line(self, beta, ab: int) -> Element:
+        """The centralizer of U_{Supp beta - alpha_ab} in U^-_{-beta};
+        raises AssertionError unless it is a line."""
+        alg = self.algebra
+        basis = alg.centralizer_basis(
+            beta, tuple(sorted(alg.rd.support(beta) - {ab})))
+        if len(basis) != 1:
+            raise AssertionError("centralizer at weight %s is %d-dimensional"
+                                 % (",".join(map(str, beta)), len(basis)))
+        return basis[0]
 
     def _ad_F_chain(self, head: Element, beta, ab: int, abp: int) -> Element:
         """(ad F_{c_m} ... ad F_{c_2})(head K_{c_1}) K_{-beta}, where
-        c_1 = alpha_beta, ..., c_m = alpha'_beta is the support of beta
-        ordered along the Dynkin path to the short root."""
+        c_1 = alpha_beta, ..., c_m = alpha'_beta is the support of beta in
+        Bourbaki order, from alpha_beta to the short root alpha'_beta."""
         alg = self.algebra
-        rd = alg.rd
-        supp = set(rd.support(beta))
-        chain = [ab]
-        seen = {ab}
-        while len(chain) < len(supp):
-            last = chain[-1]
-            nxt = [s for s in supp - seen
-                   if rd.inner(rd.simple(s), rd.simple(last))]
-            if len(nxt) != 1:
-                raise AssertionError("support is not a chain")
-            chain.append(nxt[0])
-            seen.add(nxt[0])
-        if chain[-1] != abp:
-            raise AssertionError("chain does not end at the short root")
+        chain = sorted(alg.rd.support(beta), reverse=ab > abp)
+        if (chain[0], chain[-1]) != (ab, abp):
+            raise AssertionError("the support of beta does not run from "
+                                 "alpha_%d to alpha_%d" % (ab, abp))
         y = head * alg.Ki(ab)
         for t in chain[1:]:
             y = alg.ad_F(t, y)

@@ -3,7 +3,7 @@
 Grammar (whitespace-insensitive):
 
     expr   := term (('+'|'-') term)*
-    term   := factor factor*                     juxtaposition multiplies
+    term   := factor ('*'? factor)*              juxtaposition or '*' multiplies
     factor := atom ('^' int)?
     atom   := number | number '/' number | 'q' | gen
             | '[' expr ',' expr ']' ('_' atom)?  q-commutator

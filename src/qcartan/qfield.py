@@ -215,9 +215,6 @@ class QRat:
         raise TypeError("cannot coerce %r to a coefficient" % (c,))
 
     # predicates ---------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.num
-
     __bool__ = lambda self: bool(self.num)
 
     def __eq__(self, other):

@@ -260,6 +260,33 @@ class Algebra:
                                  % ((kind, i),))
         return a
 
+    def ad_walk(self, side: str, x: Element, word) -> Element:
+        """The extremal vector reached from the weight vector x by one string
+        per letter j of word, in order: (ad X_j)^n with n = |<mu,
+        alpha_j^vee>| at the ad-weight mu reached, then mu -> s_j(mu);
+        X = E (side '+', where <mu, alpha_j^vee> <= 0) or F (side '-',
+        where it is >= 0).  Raises AssertionError on a string of the wrong
+        sign, or if the end vector is zero or lies off the weight
+        s_{word[-1]} ... s_{word[0]}(wt x)."""
+        mus = {x.ad_weight(t) for t in x.terms}
+        if len(mus) != 1:
+            raise ValueError("the ad walk starts at a nonzero weight vector")
+        mu, = mus
+        kind, sign = ("E", -1) if side == "+" else ("F", 1)
+        letters = []
+        for j in word:
+            n = sign * self.rd.pairing(mu, j - 1)
+            if n < 0:
+                raise AssertionError("the alpha_%d-string at %s has the "
+                                     "wrong sign for side %s" % (j, mu, side))
+            letters += [(kind, j)] * n
+            mu = self.rd.reflect(j, mu)
+        y = self.ad_word(letters[::-1], x)
+        if not y or any(y.ad_weight(t) != mu for t in y.terms):
+            raise AssertionError("the ad walk does not end at a weight "
+                                 "vector of weight %s" % (mu,))
+        return y
+
     # -- (anti)automorphisms ---------------------------------------------------
     def substitute(self, a: Element, f, k, e, anti: bool = False) -> Element:
         """The image of a under the (anti)homomorphism sending F_t to f(t),

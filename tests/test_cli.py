@@ -27,6 +27,9 @@ def test_parse_examples():
     ast = parse_expr("[B3,[B2,B1]_q]_q")
     assert ast[0] == "comm" and ast[2][0] == "comm"
     assert parse_expr("kappa(E1)") == ("func", "kappa", ("gen", "E", 1))
+    # an explicit '*' multiplies as juxtaposition does
+    assert parse_expr("E1 * F1") == parse_expr("E1 F1") == \
+        ("prod", (("gen", "E", 1), ("gen", "F", 1)))
 
 
 def test_parse_errors():
@@ -363,6 +366,23 @@ def test_bad_expression_exit_code(capsys):
     rc = main(["normal-form", "--family", "A", "--rank", "2",
                "--expr", "E9"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("B1", "B-generators need a symmetric pair session"),
+    ("ad (E1)", "ad needs at least one generator"),
+    ("ad K[1] (E1)", "ad words take E/F/Ki generators"),
+    ("ad B1 (E1)", "ad words take E/F/Ki generators"),
+    ("E1^-1", "expected a scalar expression"),
+    ("[E1,F1]_E1", "expected a scalar expression"),
+])
+def test_bad_generator_or_scalar_exit_code(capsys, expr, message):
+    rc = main(["normal-form", "--family", "A", "--rank", "1",
+               "--expr", expr])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 @pytest.mark.parametrize("args", [

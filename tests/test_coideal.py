@@ -3,9 +3,11 @@ import json
 import pathlib
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
-from conftest import recursion_headroom, shared_params
+from conftest import recursion_headroom, shared_algebra, shared_params
+from pair_cases import ALL_CASES
 
 from qcartan.classical import matrix_root_vector
 from qcartan.coideal import (CoidealParams, _torus_span, cartan_element,
@@ -18,6 +20,11 @@ from qcartan.qfield import ONE, QRat, qvar
 from qcartan.uqalgebra import Algebra
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _pair_name(label, n, r):
+    args = ",".join(str(x) for x in (n, r) if x is not None)
+    return "%s(%s)" % (label, args) if args else label
 
 
 def test_theta_q_images():
@@ -87,14 +94,14 @@ def test_params_leave_the_callers_s_alone(s, raises):
 @pytest.mark.parametrize("pair, n, r", [
     ("AIII", 4, 1), ("AII", 5, None), ("BI", 3, 1), ("BI", 4, 2),
     ("CII-1", 3, 2), ("CII-2", 4, None), ("DI-1", 4, 2), ("DIII-1", 4, None),
-    ("DIII-2", 5, None)])
+    ("DIII-2", 5, None), ("EIII", None, None), ("EVI", None, None)])
 def test_theta_q_image_is_the_braid_image(pair, n, r):
     # an independent route to theta_q(F_i K_i): Lusztig's T_{w_X} applied to
     # E_{p(i)}, w_X the longest element of the Weyl group of pi_theta,
-    # against the highest-weight vector of (ad M)E_{p(i)} that theta_q_FK
-    # finds by ad-span and ad-kernel; both normalised with lex-least
-    # coefficient 1 (FII and the E types are left out: T_{w_X} is slower
-    # there than the ad-span route)
+    # against the end of the ad-E walk from E_{p(i)} along a reduced word
+    # of w_X that theta_q_FK takes; both normalised with lex-least
+    # coefficient 1 (FII, EIV, EVII and EIX are left out: T_{w_X} is slow
+    # there)
     par = shared_params(pair, n, r)
     inv, alg = par.involution, par.algebra
     w_x = alg.rd.longest_word(tuple(sorted(inv.pi_theta)))
@@ -103,6 +110,60 @@ def test_theta_q_image_is_the_braid_image(pair, n, r):
     for i in outside:
         braid = alg.lusztig.apply_word(w_x, alg.E(inv.p[i - 1]))
         assert par.theta_q_FK(i) == alg.lex_normalize(braid)
+
+
+def _theta_q_by_kernel(par, i):
+    """theta_q(F_i K_i) by its definition: the combinations of the
+    (ad E-words) E_{p(i)} at weight theta(-alpha_i) that every ad E_j over
+    pi_theta kills, lex-normalized."""
+    inv, alg = par.involution, par.algebra
+    rd = alg.rd
+    pi = inv.p[i - 1]
+    target = tuple(-c for c in inv.apply(rd.simple(i)))
+    rest = tuple(t - s for t, s in zip(target, rd.simple(pi)))
+    return alg.ad_kernel(alg.ad_span("+", rest, alg.E(pi)),
+                         sorted(inv.pi_theta))
+
+
+# every pair with pi_theta nonempty and rank parameter at most 5, and the
+# exceptional ones; four of those go under slow to keep tier-1 short
+_THETA_Q_CASES = [case for case in ALL_CASES
+                  if (case[1] is None or case[1] <= 5)
+                  and build_involution(*case).pi_theta]
+_THETA_Q_SLOW = ("FII", "EIV", "EVII", "EIX")
+
+
+@pytest.mark.parametrize("pair, n, r", [
+    pytest.param(*case, marks=[pytest.mark.slow] * (case[0] in _THETA_Q_SLOW),
+                 id=_pair_name(*case))
+    for case in _THETA_Q_CASES])
+def test_theta_q_walk_matches_ad_kernel(pair, n, r):
+    # the highest-weight space of (ad M)E_{p(i)} is the line the walk ends on
+    par = shared_params(pair, n, r)
+    inv = par.involution
+    for i in range(1, inv.rd.rank + 1):
+        if i not in inv.pi_theta:
+            assert _theta_q_by_kernel(par, i) == [par.theta_q_FK(i)], i
+
+
+@pytest.mark.parametrize("pair, n, r", [
+    pytest.param(*case, id=_pair_name(*case)) for case in ALL_CASES
+    if case[1] is not None and case[1] <= 5
+    and any(e.case == 3 for e in gamma_theta(*case).entries)])
+def test_case_3_lift_is_the_braid_image(pair, n, r):
+    # the ad-F walk from F_{alpha_beta} K_{alpha_beta} against Lusztig's
+    # T_w^{-1}(F_{alpha_beta}), w the longest element on Supp beta minus
+    # alpha_beta, both lex-normalized
+    par = shared_params(pair, n, r)
+    ts = gamma_theta(pair, n, r)
+    alg = par.algebra
+    rd = alg.rd
+    for j, entry in enumerate(ts.entries, start=1):
+        if entry.case == 3:
+            ab = entry.alpha_beta
+            w = rd.longest_word(rd.support(entry.beta) - {ab})
+            braid = alg.lusztig.apply_word(w, alg.F(ab), direction=-1)
+            assert par.lift_Y(ts, j) == alg.lex_normalize(braid), j
 
 
 def test_q_commutator(a2):
@@ -151,6 +212,28 @@ def test_finished_session_is_freed_without_gc():
 def test_t_theta_generators():
     par = shared_params("AIII", 3, 2)
     assert par.t_theta_generators() == [par.algebra.K((1, 0, -1))]
+
+
+@pytest.mark.parametrize("pair, n, r", [
+    pytest.param(*case, id=_pair_name(*case)) for case in ALL_CASES])
+def test_t_theta_exponents_span_the_fixed_space(pair, n, r):
+    # one K_mu per h_theta combination: each mu is theta-fixed, the mu are
+    # independent, and there are (rank + tr theta)/2 of them, the dimension
+    # of the theta-fixed space
+    inv = build_involution(pair, n, r)
+    rank = inv.rd.rank
+    par = CoidealParams(inv, shared_algebra(inv.rd.family, rank))
+    mus = []
+    for t in par.t_theta_generators():
+        (u, mu, v), = t.terms
+        assert not u and not v
+        mus.append(mu)
+    assert all(inv.apply(mu) == mu for mu in mus)
+    ech = Echelon()
+    assert all(ech.add({k: Fraction(c) for k, c in enumerate(mu) if c})[0]
+               for mu in mus)
+    trace = sum(inv.images[k][k] for k in range(rank))
+    assert 2 * len(mus) == rank + trace
 
 
 def _rank_one_rhs(alg):
@@ -595,11 +678,6 @@ def test_torus_span_refuses_terms_outside():
                   alg.E(2) * alg.K(mu1),           # E-word in the remainder
                   alg.F(2) * alg.F(3) * alg.F(4)):  # not along W_2
         assert _torus_span(par, gens, x + extra) is None, extra
-
-
-def _pair_name(label, n, r):
-    args = ",".join(str(x) for x in (n, r) if x is not None)
-    return "%s(%s)" % (label, args) if args else label
 
 
 def _cartan_case(label, n, r, j, *marks):

@@ -194,6 +194,21 @@ def test_ad_action(a2):
         a2.E(1) * a2.E(2) - (a2.E(2) * a2.E(1)).scale(q ** -1)
 
 
+def test_ad_walk_takes_one_string_per_letter(a3):
+    # each string is as long as |<mu, alpha_j^vee>| at the weight reached:
+    # one letter each for (2, 3) from alpha_1, and from -alpha_1 on the
+    # F side
+    assert a3.ad_walk("+", a3.E(1), (2, 3)) == \
+        a3.ad_E(3, a3.ad_E(2, a3.E(1)))
+    fk = a3.F(1) * a3.Ki(1)
+    assert a3.ad_walk("-", fk, (2, 3)) == a3.ad_F(3, a3.ad_F(2, fk))
+    # <alpha_1, alpha_1^vee> = 2 has the wrong sign for an E-string
+    with pytest.raises(AssertionError, match="wrong sign"):
+        a3.ad_walk("+", a3.E(1), (1,))
+    with pytest.raises(ValueError, match="weight vector"):
+        a3.ad_walk("+", a3.E(1) + a3.E(2), (3,))
+
+
 def test_ad_counit_characterizes_commutant(a2):
     # (ad E_i)a = 0, (ad F_i)a = 0, (ad K_i)a = a  iff  a commutes with all
     x = a2.K((1, -1)) * a2.K((-1, 1))  # the identity
